@@ -65,22 +65,17 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 
-	"gqldb/internal/ast"
 	"gqldb/internal/exec"
-	"gqldb/internal/graph"
 	"gqldb/internal/match"
 	"gqldb/internal/obs"
-	"gqldb/internal/parser"
 	"gqldb/internal/server"
 	"gqldb/internal/store"
 	"time"
@@ -99,22 +94,8 @@ func (e *endpointFlags) Set(v string) error {
 	return nil
 }
 
-// docFlags collects repeated -doc name=path flags.
-type docFlags map[string]string
-
-func (d docFlags) String() string { return fmt.Sprint(map[string]string(d)) }
-
-func (d docFlags) Set(v string) error {
-	name, path, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("expected name=path, got %q", v)
-	}
-	d[name] = path
-	return nil
-}
-
 func main() {
-	docs := docFlags{}
+	docs := store.DocFlags{}
 	flag.Var(docs, "doc", "document binding name=path (repeatable; .tsv, .bin or .gql)")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "default for-clause fan-out (0/1 serial, negative GOMAXPROCS)")
@@ -150,11 +131,14 @@ func main() {
 	// registrations are not WAL-logged and would make the next restart
 	// refuse to replay.
 	sopts := store.Options{Shards: *shards, IndexMaxLen: *indexLen}
+	bootstrap := store.BootstrapFiles(docs, func(format string, args ...any) {
+		log.Printf("gqlserver: "+format, args...)
+	})
 	var st store.Store
 	if *walDir != "" {
 		d, err := store.OpenDurable(sopts, store.DurableOptions{
 			Dir: *walDir, Sync: *walSync, CheckpointEvery: *checkpointEvery,
-			Bootstrap: bootstrapDocs(docs),
+			Bootstrap: bootstrap,
 		})
 		if err != nil {
 			fail("opening durable store: %v", err)
@@ -165,7 +149,7 @@ func main() {
 		st = d
 	} else {
 		ds := store.New(sopts)
-		if err := bootstrapDocs(docs)(ds); err != nil {
+		if err := bootstrap(ds); err != nil {
 			fail("%v", err)
 		}
 		st = ds
@@ -231,76 +215,6 @@ func main() {
 	case err := <-errc:
 		fail("serve: %v", err)
 	}
-}
-
-// bootstrapDocs returns the deterministic document bootstrap over the -doc
-// bindings: each is loaded and registered in sorted name order, skipping
-// names a durability checkpoint already restored — the contract
-// store.OpenDurable's recovery protocol needs to replay the WAL against a
-// reproducible baseline.
-func bootstrapDocs(docs docFlags) func(*store.DocStore) error {
-	return func(ds *store.DocStore) error {
-		names := make([]string, 0, len(docs))
-		for name := range docs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		present := ds.Snapshot()
-		for _, name := range names {
-			if _, ok := present.Doc(name); ok {
-				log.Printf("gqlserver: document %s restored from checkpoint", name)
-				continue
-			}
-			coll, err := loadDoc(docs[name])
-			if err != nil {
-				return fmt.Errorf("loading %s: %w", docs[name], err)
-			}
-			ds.RegisterDoc(name, coll)
-			log.Printf("gqlserver: loaded document %s from %s (%d graphs)", name, docs[name], len(coll))
-		}
-		return nil
-	}
-}
-
-// loadDoc reads a document: .tsv is one large graph, .bin a binary
-// collection; anything else is parsed as a sequence of graph literals.
-func loadDoc(path string) (graph.Collection, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".tsv") {
-		g, err := graph.ReadTSV(f)
-		if err != nil {
-			return nil, err
-		}
-		return graph.NewCollection(g), nil
-	}
-	if strings.HasSuffix(path, ".bin") {
-		return graph.ReadBinary(f)
-	}
-	src, err := io.ReadAll(f)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := parser.Parse(string(src))
-	if err != nil {
-		return nil, err
-	}
-	var coll graph.Collection
-	for _, s := range prog.Stmts {
-		d, ok := s.(*ast.GraphDecl)
-		if !ok {
-			return nil, fmt.Errorf("%s: documents may contain only graph literals", path)
-		}
-		g, err := d.ToGraph()
-		if err != nil {
-			return nil, err
-		}
-		coll = append(coll, g)
-	}
-	return coll, nil
 }
 
 func fail(format string, args ...any) {

@@ -31,38 +31,20 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"gqldb/internal/ast"
-	"gqldb/internal/graph"
-	"gqldb/internal/parser"
 	"gqldb/internal/shardsrv"
+	"gqldb/internal/store"
 )
 
-// docFlags collects repeated -doc name=path flags.
-type docFlags map[string]string
-
-func (d docFlags) String() string { return fmt.Sprint(map[string]string(d)) }
-
-func (d docFlags) Set(v string) error {
-	name, path, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("expected name=path, got %q", v)
-	}
-	d[name] = path
-	return nil
-}
-
 func main() {
-	docs := docFlags{}
+	docs := store.DocFlags{}
 	flag.Var(docs, "doc", "document binding name=path (repeatable; .tsv, .bin or .gql)")
 	addr := flag.String("addr", ":7301", "listen address")
 	shards := flag.Int("shards", 1, "partition width; must equal the frontend's -shards")
@@ -80,13 +62,11 @@ func main() {
 		Workers:     *workers,
 		PlanCap:     *planCache,
 	})
-	for name, path := range docs {
-		coll, err := loadDoc(path)
-		if err != nil {
-			fail("loading %s: %v", path, err)
-		}
-		srv.RegisterDoc(name, coll)
-		log.Printf("gqlshard: loaded document %s from %s (%d graphs)", name, path, len(coll))
+	err := srv.Bootstrap(store.BootstrapFiles(docs, func(format string, args ...any) {
+		log.Printf("gqlshard: "+format, args...)
+	}))
+	if err != nil {
+		fail("%v", err)
 	}
 
 	l, err := net.Listen("tcp", *addr)
@@ -112,47 +92,6 @@ func main() {
 	case err := <-errc:
 		fail("serve: %v", err)
 	}
-}
-
-// loadDoc reads a document: .tsv is one large graph, .bin a binary
-// collection; anything else is parsed as a sequence of graph literals.
-func loadDoc(path string) (graph.Collection, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".tsv") {
-		g, err := graph.ReadTSV(f)
-		if err != nil {
-			return nil, err
-		}
-		return graph.NewCollection(g), nil
-	}
-	if strings.HasSuffix(path, ".bin") {
-		return graph.ReadBinary(f)
-	}
-	src, err := io.ReadAll(f)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := parser.Parse(string(src))
-	if err != nil {
-		return nil, err
-	}
-	var coll graph.Collection
-	for _, s := range prog.Stmts {
-		d, ok := s.(*ast.GraphDecl)
-		if !ok {
-			return nil, fmt.Errorf("%s: documents may contain only graph literals", path)
-		}
-		g, err := d.ToGraph()
-		if err != nil {
-			return nil, err
-		}
-		coll = append(coll, g)
-	}
-	return coll, nil
 }
 
 func fail(format string, args ...any) {

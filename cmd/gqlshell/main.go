@@ -59,22 +59,8 @@ import (
 	"gqldb/internal/store"
 )
 
-// docFlags collects repeated -doc name=path flags.
-type docFlags map[string]string
-
-func (d docFlags) String() string { return fmt.Sprint(map[string]string(d)) }
-
-func (d docFlags) Set(v string) error {
-	name, path, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("expected name=path, got %q", v)
-	}
-	d[name] = path
-	return nil
-}
-
 func main() {
-	docs := docFlags{}
+	docs := store.DocFlags{}
 	flag.Var(docs, "doc", "document binding name=path (repeatable; .tsv, .bin or .gql)")
 	verbose := flag.Bool("v", false, "verbose: print matched-variable summary")
 	workers := flag.Int("workers", 0, "for-clause fan-out (0/1 serial, negative GOMAXPROCS)")
@@ -88,28 +74,9 @@ func main() {
 	walSync := flag.Bool("wal-sync", true, "fsync the WAL before acknowledging each mutation batch")
 	flag.Parse()
 
-	// Document bootstrap, shared by the plain and durable stores: sorted
-	// for determinism, skipping documents a durability checkpoint already
-	// restored.
-	bootstrap := func(ds *store.DocStore) error {
-		names := make([]string, 0, len(docs))
-		for name := range docs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		present := ds.Snapshot()
-		for _, name := range names {
-			if _, ok := present.Doc(name); ok {
-				continue
-			}
-			coll, err := loadDoc(docs[name])
-			if err != nil {
-				return fmt.Errorf("loading %s: %w", docs[name], err)
-			}
-			ds.RegisterDoc(name, coll)
-		}
-		return nil
-	}
+	// Document bootstrap, shared by the plain and durable stores; silent, so
+	// only results reach the terminal.
+	bootstrap := store.BootstrapFiles(docs, func(string, ...any) {})
 
 	// With -wal the store is durable: this run starts from the previous
 	// run's mutations (checkpoint + WAL replay over the -doc bootstrap) and
@@ -377,47 +344,6 @@ func reductionCell(refined, baseline int64) string {
 	}
 	return stats.FmtLog(stats.ReductionRatioLog10(
 		math.Log10(float64(refined)), math.Log10(float64(baseline))))
-}
-
-// loadDoc reads a document: .tsv is one large graph, .bin a binary
-// collection; anything else is parsed as a sequence of graph literals.
-func loadDoc(path string) (graph.Collection, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".tsv") {
-		g, err := graph.ReadTSV(f)
-		if err != nil {
-			return nil, err
-		}
-		return graph.NewCollection(g), nil
-	}
-	if strings.HasSuffix(path, ".bin") {
-		return graph.ReadBinary(f)
-	}
-	src, err := io.ReadAll(f)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := parser.Parse(string(src))
-	if err != nil {
-		return nil, err
-	}
-	var coll graph.Collection
-	for _, s := range prog.Stmts {
-		d, ok := s.(*ast.GraphDecl)
-		if !ok {
-			return nil, fmt.Errorf("%s: documents may contain only graph literals", path)
-		}
-		g, err := d.ToGraph()
-		if err != nil {
-			return nil, err
-		}
-		coll = append(coll, g)
-	}
-	return coll, nil
 }
 
 func fail(format string, args ...any) {

@@ -31,12 +31,12 @@ func TestSelectContextMatchesSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Select(p, c, Options{Exhaustive: true})
+	want, err := SelectGraphs(context.Background(), p, c, SelectOptions{Match: Options{Exhaustive: true}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stats MatchStats
-	got, err := SelectContext(context.Background(), p, c, Options{Exhaustive: true}, 4, &stats)
+	got, err := SelectGraphs(context.Background(), p, c, SelectOptions{Match: Options{Exhaustive: true}, Workers: 4, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestProductJoinComposeContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := SelectContext(ctx, p, c, Options{Exhaustive: true}, 0, nil)
+	ms, err := SelectGraphs(ctx, p, c, SelectOptions{Match: Options{Exhaustive: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +139,12 @@ graph P { node v1 where label="A"; node v2 where label="B"; edge (v1, v2); };
 for P exhaustive in doc("db")
 return graph { node P.v1; node P.v2; edge (P.v1, P.v2); };
 `
-	want, err := Run(src, store)
+	want, err := Query(context.Background(), src, QueryOptions{Docs: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 4, -1} {
-		got, err := RunContext(context.Background(), src, store, workers)
+		got, err := Query(context.Background(), src, QueryOptions{Docs: store, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -160,7 +160,7 @@ return graph { node P.v1; node P.v2; edge (P.v1, P.v2); };
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, src, store, 2); !errors.Is(err, context.Canceled) {
+	if _, err := Query(ctx, src, QueryOptions{Docs: store, Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled RunContext err = %v, want context.Canceled", err)
 	}
 }

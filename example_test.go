@@ -1,6 +1,7 @@
 package gqldb_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,9 +42,9 @@ func ExampleMatch() {
 	// c1
 }
 
-// ExampleRun evaluates a FLWR query with a return clause: one result graph
+// ExampleQuery evaluates a FLWR query with a return clause: one result graph
 // per matched author.
-func ExampleRun() {
+func ExampleQuery() {
 	paper, err := gqldb.ParseGraph(`graph p1 <inproceedings booktitle="SIGMOD"> {
 		node v1 <author name="He">;
 		node v2 <author name="Singh">;
@@ -51,10 +52,10 @@ func ExampleRun() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := gqldb.Run(`
+	res, err := gqldb.Query(context.Background(), `
 		for graph Q { node v <author>; } exhaustive in doc("papers")
 		return graph R { node u <label=Q.v.name>; };`,
-		gqldb.Store{"papers": gqldb.Collection{paper}})
+		gqldb.QueryOptions{Docs: gqldb.Store{"papers": gqldb.Collection{paper}}})
 	if err != nil {
 		log.Fatal(err)
 	}

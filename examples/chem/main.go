@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -38,14 +39,14 @@ func main() {
 	q.AddEdge("", ring[3], side, nil, nil)
 
 	start := time.Now()
-	seq, err := gqldb.Select(q, compounds, gqldb.Options{})
+	seq, err := gqldb.SelectGraphs(context.Background(), q, compounds, gqldb.SelectOptions{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	seqT := time.Since(start)
 
 	start = time.Now()
-	par, err := gqldb.SelectParallel(q, compounds, gqldb.Options{}, 0)
+	par, err := gqldb.SelectGraphs(context.Background(), q, compounds, gqldb.SelectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

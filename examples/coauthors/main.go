@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 	papers := gen.DBLP(300, 80, []string{"SIGMOD", "VLDB", "ICDE"}, 42)
 	fmt.Printf("generated %d papers\n", len(papers))
 
-	res, err := gqldb.Run(query, gqldb.Store{"DBLP": papers})
+	res, err := gqldb.Query(context.Background(), query, gqldb.QueryOptions{Docs: gqldb.Store{"DBLP": papers}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,7 +50,8 @@ func main() {
 	// Compose a new graph from each match — the Figure 4.11 template:
 	// node a labelled by the matched author name, node b by the paper
 	// title, with an edge between them.
-	sel, err := gqldb.Select(p, gqldb.Collection{g}, gqldb.Options{Exhaustive: true})
+	sel, err := gqldb.SelectGraphs(context.Background(), p, gqldb.Collection{g},
+		gqldb.SelectOptions{Match: gqldb.Options{Exhaustive: true}, Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,8 @@ func main() {
 	}
 	p.Where(sameCompany)
 
-	sel, err := gqldb.Select(p, gqldb.Collection{g}, gqldb.Options{Exhaustive: true})
+	sel, err := gqldb.SelectGraphs(context.Background(), p, gqldb.Collection{g},
+		gqldb.SelectOptions{Match: gqldb.Options{Exhaustive: true}, Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,9 +14,9 @@
 //
 //   - data model: Graph, Tuple, Value, Collection (NewGraph, NewTuple, ...)
 //   - patterns and matching: Pattern, Match/MatchOne, Options
-//   - the graph algebra: Select, CartesianProduct, Join, Compose, Union,
-//     Difference, Intersect (package internal/algebra)
-//   - the query language: Parse and Run for full FLWR programs
+//   - the graph algebra: SelectGraphs, Product, Join, ComposeMatches, Union,
+//     Difference, Intersection (package internal/algebra)
+//   - the query language: ParseQuery and Query for full FLWR programs
 //
 // The subsystem packages under internal/ carry the implementation:
 // internal/match (Algorithms 4.1 and 4.2), internal/index (neighborhood
@@ -97,11 +97,11 @@ type (
 	Operand = algebra.Operand
 	// Expr is a predicate expression.
 	Expr = expr.Expr
-	// Store maps document names to collections for query execution. It is
-	// the compatibility constructor shape: Run/NewEngine wrap it into an
-	// unsharded DocStore. For sharding, versioned registration or result
-	// caching, build a DocStore and use NewEngineOver.
-	Store = exec.Store
+	// Store maps document names to collections — the plain shape behind
+	// QueryOptions.Docs and NewEngine, which wrap it into an unsharded
+	// DocStore. For sharding, versioned registration or result caching,
+	// build a DocStore and use NewEngineOver.
+	Store = map[string]graph.Collection
 	// DocStore is the versioned, sharded in-process document store: every
 	// RegisterDoc bumps a monotonic version, queries read immutable
 	// snapshots, and collections are hash-partitioned into shards with
@@ -162,7 +162,7 @@ type (
 	// QueryResult is the outcome of running a FLWR program.
 	QueryResult = exec.Result
 	// Engine evaluates parsed programs against a store; set Workers for
-	// parallel for-clause evaluation and use RunContext for cancellation.
+	// parallel for-clause evaluation.
 	Engine = exec.Engine
 	// OpStat is one bulk-operator execution record (operator name, item
 	// count, worker count, wall time) collected in MatchStats.Ops.
@@ -297,36 +297,9 @@ type SelectOptions struct {
 
 // SelectGraphs evaluates σ_P(C) — all bindings of p across the collection —
 // under a context on a bounded worker pool. This is the single selection
-// entry point; Select, SelectParallel and SelectContext are deprecated
-// wrappers over it.
+// entry point.
 func SelectGraphs(ctx context.Context, p *Pattern, c Collection, opts SelectOptions) ([]*MatchedGraph, error) {
 	return algebra.SelectionContext(ctx, p, c, opts.Match, opts.Index, opts.Workers, opts.Stats)
-}
-
-// Select evaluates σ_P(C) serially.
-//
-// Deprecated: use SelectGraphs(ctx, p, c, SelectOptions{Match: opt, Workers: 1}).
-func Select(p *Pattern, c Collection, opt Options) ([]*MatchedGraph, error) {
-	return SelectGraphs(context.Background(), p, c, SelectOptions{Match: opt, Workers: 1})
-}
-
-// SelectParallel evaluates σ_P(C) with collection members matched
-// concurrently (workers=0 uses GOMAXPROCS); results are identical to
-// Select, in the same order.
-//
-// Deprecated: use SelectGraphs(ctx, p, c, SelectOptions{Match: opt, Workers: workers}).
-func SelectParallel(p *Pattern, c Collection, opt Options, workers int) ([]*MatchedGraph, error) {
-	if workers == 0 {
-		workers = -1 // ParallelSelection's 0 meant GOMAXPROCS
-	}
-	return SelectGraphs(context.Background(), p, c, SelectOptions{Match: opt, Workers: workers})
-}
-
-// SelectContext evaluates σ_P(C) under a context on a bounded worker pool.
-//
-// Deprecated: use SelectGraphs(ctx, p, c, SelectOptions{Match: opt, Workers: workers, Stats: stats}).
-func SelectContext(ctx context.Context, p *Pattern, c Collection, opt Options, workers int, stats *MatchStats) ([]*MatchedGraph, error) {
-	return SelectGraphs(ctx, p, c, SelectOptions{Match: opt, Workers: workers, Stats: stats})
 }
 
 // Product computes the Cartesian product C × D (§3.3) on a bounded worker
@@ -435,7 +408,7 @@ const AllRows = exec.AllRows
 // empty document map).
 type QueryOptions struct {
 	// Docs maps document names to collections; it is wrapped into an
-	// unsharded DocStore (the simple path, mirroring the old Run).
+	// unsharded DocStore (the simple path).
 	Docs Store
 	// Store is a versioned document store — the sharded/indexed path.
 	Store VersionedStore
@@ -463,7 +436,7 @@ func (o QueryOptions) engine() *Engine {
 	if o.Store != nil {
 		e = exec.NewOver(o.Store)
 	} else {
-		e = exec.New(o.Docs)
+		e = NewEngine(o.Docs)
 	}
 	e.Workers = o.Workers
 	e.Trace = o.Trace
@@ -471,8 +444,7 @@ func (o QueryOptions) engine() *Engine {
 }
 
 // Query parses and executes a GraphQL program, returning the buffered
-// result. This is the single buffered entry point; Run and RunContext are
-// deprecated wrappers over it. Cancellation is honored down to individual
+// result. This is the single buffered entry point. Cancellation is honored down to individual
 // backtracking steps of each selection, and when ctx carries a trace
 // (StartTrace) — or Trace is set — every phase records spans and the tree
 // is returned in QueryResult.Trace. Parse failures return a *QueryParseError.
@@ -490,21 +462,6 @@ func QueryStream(ctx context.Context, src string, sink ResultSink, opts QueryOpt
 		take = AllRows
 	}
 	return opts.engine().StreamQuery(ctx, src, sink, StreamOptions{Skip: opts.Skip, Take: take})
-}
-
-// Run parses and executes a GraphQL program against a document store.
-//
-// Deprecated: use Query(ctx, src, QueryOptions{Docs: st}).
-func Run(src string, st Store) (*QueryResult, error) {
-	return Query(context.Background(), src, QueryOptions{Docs: st})
-}
-
-// RunContext parses and executes a GraphQL program under a context on a
-// bounded worker pool.
-//
-// Deprecated: use Query(ctx, src, QueryOptions{Docs: st, Workers: workers}).
-func RunContext(ctx context.Context, src string, st Store, workers int) (*QueryResult, error) {
-	return Query(ctx, src, QueryOptions{Docs: st, Workers: workers})
 }
 
 // StartTrace enables tracing for everything evaluated under the returned
@@ -550,10 +507,10 @@ func NewShardServer(cfg ShardServerConfig) *ShardServer { return shardsrv.New(cf
 func MetricsSnapshot() map[string]any { return obs.Snapshot() }
 
 // NewEngine returns a query engine over the document map with default
-// options; set Workers, Opts, IxFor or CollIndex before calling
-// Run/RunContext. The map is wrapped into an unsharded DocStore at
-// construction.
-func NewEngine(st Store) *Engine { return exec.New(st) }
+// options; set Workers, Opts or IxFor before querying. The map is wrapped
+// into an unsharded DocStore at construction; later changes to it are not
+// observed.
+func NewEngine(st Store) *Engine { return exec.NewOver(store.FromMap(st)) }
 
 // NewEngineOver returns a query engine reading through a versioned store —
 // the constructor for sharded, indexed or result-cached deployments:

@@ -1,6 +1,7 @@
 package gqldb
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -74,7 +75,7 @@ func TestFacadeSelectAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := Select(p, coll, Options{Exhaustive: true})
+	ms, err := SelectGraphs(context.Background(), p, coll, SelectOptions{Match: Options{Exhaustive: true}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestFacadeSelectAndRun(t *testing.T) {
 		t.Fatalf("selected = %d, want 4", len(ms))
 	}
 
-	res, err := Run(`
+	res, err := Query(context.Background(), `
 		graph P { node v1 <author>; node v2 <author>; };
 		C := graph {};
 		for P exhaustive in doc("papers") let C := graph {
@@ -91,7 +92,7 @@ func TestFacadeSelectAndRun(t *testing.T) {
 			edge e1 (P.v1, P.v2);
 			unify P.v1, C.v1 where P.v1.name=C.v1.name;
 			unify P.v2, C.v2 where P.v2.name=C.v2.name;
-		};`, Store{"papers": coll})
+		};`, QueryOptions{Docs: Store{"papers": coll}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package gqldb
 // workload they must agree exactly.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -93,11 +94,11 @@ func TestCollectionPipelineAgrees(t *testing.T) {
 	b := p.LabelNode("y", "a2")
 	p.AddEdge("", a, b, nil, nil)
 
-	plain, err := Select(p, coll, Options{Exhaustive: true})
+	plain, err := SelectGraphs(context.Background(), p, coll, SelectOptions{Match: Options{Exhaustive: true}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SelectParallel(p, coll, Options{Exhaustive: true}, 0)
+	par, err := SelectGraphs(context.Background(), p, coll, SelectOptions{Match: Options{Exhaustive: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,74 +48,116 @@ func sumInts(xs []int) int64 {
 //     item count, resolved worker count and wall time is appended — the §5
 //     harness plots parallel speedup from these records.
 
-// SelectionContext evaluates σ_P(C) like Selection with cancellation and a
-// bounded worker pool: collection members are matched concurrently, matched
-// graphs stay grouped by collection order with bindings in discovery order.
-func SelectionContext(ctx context.Context, p *pattern.Pattern, c graph.Collection, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int, stats *match.Stats) (Matched, error) {
-	if err := p.Compile(); err != nil {
-		return nil, err
+// Ordinals returns 0..n-1 — the candidate list of an unfiltered selection.
+func Ordinals(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
 	}
-	workers = pool.Workers(workers, len(c))
-	slots := make([]Matched, len(c))
-	sctx, sp := startOpSpan(ctx, "selection", len(c), workers)
-	start := time.Now()
-	err := pool.Run(sctx, len(c), workers, func(i int) error {
-		g := c[i]
-		var ix *match.Index
-		if ixFor != nil {
-			ix = ixFor(g)
-		}
-		maps, st, err := match.FindContext(sctx, p, g, ix, opt)
+	return out
+}
+
+// SelectStream is the selection kernel: the one place σ_P(C) is evaluated.
+// cands lists the members of c to verify as ascending ordinals — the
+// survivors of whatever access method ran in front (a path index, or
+// Ordinals for a plain scan). They are matched in bounded rounds on the
+// worker pool, and after each round every non-empty match group (all
+// bindings of one member, in discovery order) is pushed to emit(i, group)
+// in candidate order from the calling goroutine. An emit error abandons the
+// unmatched tail and is returned as-is, so a consumer that has seen enough
+// stops the selection within one round.
+//
+// The kernel owns the "selection" trace span and its §4 access-method
+// counters. The op-level records (Stats.RecordOp, the selection-latency
+// histogram, the match counter) are not worker-safe and a shard fan-out runs
+// the kernel on pool workers, so they stay with the entry points that own a
+// coordinating goroutine: SelectionContext and store.Coordinator.
+func SelectStream(ctx context.Context, p *pattern.Pattern, c graph.Collection, cands []int32, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int, emit func(i int, group Matched) error) error {
+	if err := p.Compile(); err != nil {
+		return err
+	}
+	resolved := pool.Workers(workers, len(cands))
+	sctx, sp := startOpSpan(ctx, "selection", len(cands), resolved)
+	defer sp.End()
+	// One round is four pool claims of 16 per worker: every worker stays
+	// busy, and the memory held between emissions is bounded by the round.
+	chunk := min(64*resolved, len(cands))
+	slots := make([]Matched, chunk)
+	for lo := 0; lo < len(cands); lo += chunk {
+		round := cands[lo:min(lo+chunk, len(cands))]
+		clear(slots)
+		err := pool.Run(sctx, len(round), workers, func(k int) error {
+			g := c[round[k]]
+			var ix *match.Index
+			if ixFor != nil {
+				ix = ixFor(g)
+			}
+			maps, st, err := match.FindContext(sctx, p, g, ix, opt)
+			if err != nil {
+				return err
+			}
+			if sp != nil {
+				// Aggregate the §4 access-method counters across the members:
+				// candidate-space sizes before/after local pruning and refinement,
+				// backtracking steps, and mappings found. Span.Add is worker-safe.
+				sp.Add("cand_baseline", sumInts(st.CandBaseline))
+				sp.Add("cand_local", sumInts(st.CandLocal))
+				sp.Add("cand_refined", sumInts(st.CandRefined))
+				sp.Add("search_steps", st.SearchSteps)
+				sp.Add("matches", int64(len(maps)))
+				if st.PlanCacheHit {
+					sp.Add("plan_cache_hits", 1)
+				} else if opt.Plans != nil {
+					sp.Add("plan_cache_misses", 1)
+				}
+			}
+			if len(maps) > 0 {
+				// One batch allocation per graph instead of one per match.
+				mgs := make([]MatchedGraph, len(maps))
+				group := make(Matched, len(maps))
+				for j, m := range maps {
+					mgs[j] = MatchedGraph{P: p, G: g, M: m}
+					group[j] = &mgs[j]
+				}
+				slots[k] = group
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		if sp != nil {
-			// Aggregate the §4 access-method counters across the collection:
-			// candidate-space sizes before/after local pruning and refinement,
-			// backtracking steps, and mappings found. Span.Add is worker-safe.
-			sp.Add("cand_baseline", sumInts(st.CandBaseline))
-			sp.Add("cand_local", sumInts(st.CandLocal))
-			sp.Add("cand_refined", sumInts(st.CandRefined))
-			sp.Add("search_steps", st.SearchSteps)
-			sp.Add("matches", int64(len(maps)))
-			if st.PlanCacheHit {
-				sp.Add("plan_cache_hits", 1)
-			} else if opt.Plans != nil {
-				sp.Add("plan_cache_misses", 1)
+		for k, group := range slots[:len(round)] {
+			if len(group) == 0 {
+				continue
+			}
+			if err := emit(int(round[k]), group); err != nil {
+				return err
 			}
 		}
-		if len(maps) > 0 {
-			// One batch allocation per graph instead of one per match; the
-			// slot header append stays per-match but reuses slot capacity.
-			mgs := make([]MatchedGraph, len(maps))
-			for j, m := range maps {
-				mgs[j] = MatchedGraph{P: p, G: g, M: m}
-				slots[i] = append(slots[i], &mgs[j])
-			}
-		}
+	}
+	sp.SetAttr("pattern", p.Name)
+	return nil
+}
+
+// SelectionContext evaluates σ_P(C) like Selection with cancellation and a
+// bounded worker pool: the collect form of SelectStream over the whole
+// collection. Matched graphs stay grouped by collection order with bindings
+// in discovery order.
+func SelectionContext(ctx context.Context, p *pattern.Pattern, c graph.Collection, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int, stats *match.Stats) (Matched, error) {
+	var out Matched
+	start := time.Now()
+	err := SelectStream(ctx, p, c, Ordinals(len(c)), opt, ixFor, workers, func(_ int, group Matched) error {
+		out = append(out, group...)
 		return nil
 	})
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
 	wall := time.Since(start)
-	stats.RecordOp("selection", len(c), workers, wall)
+	stats.RecordOp("selection", len(c), pool.Workers(workers, len(c)), wall)
 	obs.SelectionSeconds.Observe(wall)
-	var out Matched
-	for _, ms := range slots {
-		out = append(out, ms...)
-	}
 	obs.Matches.Add(int64(len(out)))
-	sp.SetAttr("pattern", p.Name)
-	sp.End()
 	return out, nil
-}
-
-// ParallelSelection is SelectionContext without cancellation or stats; kept
-// as the original entry point of the parallel selection path.
-func ParallelSelection(p *pattern.Pattern, c graph.Collection, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int) (Matched, error) {
-	return SelectionContext(context.Background(), p, c, opt, ixFor, workers, nil)
 }
 
 // CartesianProductContext computes C × D like CartesianProduct on a worker

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -23,21 +24,18 @@ func TestParallelSelectionStress(t *testing.T) {
 	opt := match.Options{Exhaustive: true}
 
 	// Shared read-only index map: every worker goroutine reads it, which
-	// is only race-clean if ParallelSelection never mutates it.
+	// is only race-clean if the selection never mutates it.
 	indexes := make(map[*graph.Graph]*match.Index, len(c))
 	for _, g := range c {
 		indexes[g] = match.BuildIndex(g, 1, false)
 	}
 	ixFor := func(g *graph.Graph) *match.Index { return indexes[g] }
 
-	want, err := Selection(p, c, opt, ixFor)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceSelection(t, p, c, opt, ixFor)
 
 	for round := 0; round < 5; round++ {
 		for _, workers := range []int{0, 1, 2, 7, len(c), 4 * len(c)} {
-			got, err := ParallelSelection(p, c, opt, ixFor, workers)
+			got, err := SelectionContext(context.Background(), p, c, opt, ixFor, workers, nil)
 			if err != nil {
 				t.Fatalf("round %d workers=%d: %v", round, workers, err)
 			}
@@ -53,7 +51,7 @@ func TestParallelSelectionStress(t *testing.T) {
 	}
 }
 
-// TestParallelSelectionConcurrentCallers runs several ParallelSelection
+// TestParallelSelectionConcurrentCallers runs several parallel selection
 // evaluations of the same pattern over the same collection at once — the
 // server-shaped workload — so -race can see any hidden shared state
 // between evaluations (the compiled pattern, most importantly).
@@ -67,10 +65,7 @@ func TestParallelSelectionConcurrentCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := match.Options{Exhaustive: true}
-	want, err := Selection(p, c, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceSelection(t, p, c, opt, nil)
 
 	const callers = 8
 	errs := make([]error, callers)
@@ -80,7 +75,7 @@ func TestParallelSelectionConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := ParallelSelection(p, c, opt, nil, 4)
+			got, err := SelectionContext(context.Background(), p, c, opt, nil, 4, nil)
 			errs[k] = err
 			counts[k] = len(got)
 		}()

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -38,18 +39,37 @@ func edgePattern() *pattern.Pattern {
 	return p
 }
 
+// referenceSelection is the oracle the selection tests compare against: a
+// plain loop over the collection with match.Find. It shares nothing with the
+// kernel — no pool, no rounds, no candidate list, no spans.
+func referenceSelection(t testing.TB, p *pattern.Pattern, c graph.Collection, opt match.Options, ixFor func(*graph.Graph) *match.Index) Matched {
+	t.Helper()
+	var out Matched
+	for _, g := range c {
+		var ix *match.Index
+		if ixFor != nil {
+			ix = ixFor(g)
+		}
+		maps, _, err := match.Find(p, g, ix, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range maps {
+			out = append(out, &MatchedGraph{P: p, G: g, M: m})
+		}
+	}
+	return out
+}
+
 // TestParallelSelectionMatchesSequential: identical results (count, graphs
 // and binding order) for any worker count.
 func TestParallelSelectionMatchesSequential(t *testing.T) {
 	c := bigCollection(60)
 	p := edgePattern()
 	opt := match.Options{Exhaustive: true}
-	want, err := Selection(p, c, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceSelection(t, p, c, opt, nil)
 	for _, workers := range []int{0, 1, 2, 4, 16, 100} {
-		got, err := ParallelSelection(p, c, opt, nil, workers)
+		got, err := SelectionContext(context.Background(), p, c, opt, nil, workers, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -71,7 +91,7 @@ func TestParallelSelectionMatchesSequential(t *testing.T) {
 
 func TestParallelSelectionEmpty(t *testing.T) {
 	p := edgePattern()
-	got, err := ParallelSelection(p, nil, match.Options{Exhaustive: true}, nil, 4)
+	got, err := SelectionContext(context.Background(), p, nil, match.Options{Exhaustive: true}, nil, 4, nil)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty collection: %v, %v", got, err)
 	}
@@ -90,7 +110,7 @@ func BenchmarkSelection(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ParallelSelection(p, c, opt, nil, 0); err != nil {
+			if _, err := SelectionContext(context.Background(), p, c, opt, nil, 0, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -54,7 +54,7 @@ var unsafeInGoroutine = map[string]map[string]bool{
 	"internal/server.ndjsonWriter": {"line": true, "flush": true},
 }
 
-// GoSafe inspects goroutine bodies (as in algebra.ParallelSelection) for
+// GoSafe inspects goroutine bodies (as in pool.Run's workers) for
 // the two race shapes that matter in this codebase: calls to known
 // non-thread-safe mutators, and writes to captured variables that are not
 // index-partitioned. A write whose access path goes through an index

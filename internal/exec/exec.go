@@ -16,25 +16,13 @@ import (
 	"gqldb/internal/algebra"
 	"gqldb/internal/ast"
 	"gqldb/internal/expr"
-	"gqldb/internal/gindex"
 	"gqldb/internal/graph"
 	"gqldb/internal/match"
 	"gqldb/internal/motif"
 	"gqldb/internal/obs"
 	"gqldb/internal/pattern"
-	"gqldb/internal/pool"
 	"gqldb/internal/store"
 )
-
-// Store maps document names (the argument of doc("...")) to collections.
-//
-// Deprecated as an engine field: since the versioned storage layer landed,
-// the engine reads documents through internal/store snapshots. The map type
-// remains as the compatibility constructor shape — New(Store{...}) wraps it
-// into an unsharded store.DocStore — so existing callers keep working; code
-// that wants sharding, versioned registration or per-shard indexes should
-// build a store.DocStore and use NewOver.
-type Store map[string]graph.Collection
 
 // Engine evaluates programs against a document store.
 type Engine struct {
@@ -61,11 +49,6 @@ type Engine struct {
 	Plans *match.PlanCache
 	// IxFor optionally supplies per-graph access structures.
 	IxFor func(*graph.Graph) *match.Index
-	// CollIndex optionally supplies a path-feature index per document
-	// (keyed by doc name): the for-clause then filters candidate graphs
-	// before matching — the §4 access method for collections of small
-	// graphs.
-	CollIndex map[string]*gindex.Index
 	// DeriveDepth bounds recursive-motif derivation (default 8).
 	DeriveDepth int
 	// DeriveLimit bounds the number of derived motifs (default 64).
@@ -144,16 +127,9 @@ type Result struct {
 	Trace *obs.Span
 }
 
-// New returns an engine with the default (exhaustive, unoptimized)
-// selection options over the given document map, wrapped into an unsharded
-// single-version store. The map is captured at construction; later changes
-// to it are not observed — register documents through Engine.Docs instead.
-func New(st Store) *Engine {
-	return NewOver(store.FromMap(st))
-}
-
-// NewOver returns an engine reading through the given document store — the
-// constructor for sharded, indexed or externally-versioned stores.
+// NewOver returns an engine with the default (exhaustive, unoptimized)
+// selection options reading through the given document store; wrap a plain
+// document map with store.FromMap.
 func NewOver(docs store.Store) *Engine {
 	return &Engine{Docs: docs, Opts: match.Options{Exhaustive: true}}
 }
@@ -181,16 +157,19 @@ func (e *Engine) Run(prog *ast.Program) (*Result, error) {
 // evaluation phases record a span tree, returned in Result.Trace. A run
 // whose wall time crosses Engine.SlowQuery is reported to the slow-query
 // log hook whether it succeeded or failed.
+//
+// Like RunQuery, it is the streaming pipeline collected into a CollectSink.
 func (e *Engine) RunContext(ctx context.Context, prog *ast.Program) (*Result, error) {
 	ctx, root, rooted := e.traceRoot(ctx)
-	res, err := e.runInstrumented(ctx, prog, e.snapshot(), nil)
+	sink := &CollectSink{}
+	res, err := e.runInstrumented(ctx, prog, e.snapshot(), &streamState{sink: sink, take: AllRows})
 	if rooted {
 		root.End()
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.Trace = root
+	res.Out, res.Trace = sink.Graphs, root
 	return res, nil
 }
 
@@ -268,13 +247,13 @@ func (e *Engine) run(ctx context.Context, prog *ast.Program, snap *store.Snapsho
 			// A completed stream (take reached, sink stop) ends the program
 			// early without failing it; later statements do not run and the
 			// truncation is recorded on the stream state.
-			if st != nil && errors.Is(err, errStreamDone) {
+			if errors.Is(err, errStreamDone) {
 				return &Result{Vars: env.vars, Stats: env.stats}, i + 1, nil
 			}
 			return nil, i, err
 		}
 	}
-	return &Result{Out: env.out, Vars: env.vars, Stats: env.stats}, len(prog.Stmts), nil
+	return &Result{Vars: env.vars, Stats: env.stats}, len(prog.Stmts), nil
 }
 
 // environment is the mutable execution state.
@@ -282,14 +261,13 @@ type environment struct {
 	engine *Engine
 	ctx    context.Context
 	snap   *store.Snapshot
-	// stream, when non-nil, routes return clauses through the streaming
-	// pipeline (rows pushed to the sink instead of collected into out).
+	// stream receives the rows of return clauses; only the coordinating
+	// goroutine touches it.
 	stream  *streamState
 	stats   *match.Stats
 	decls   map[string]*ast.GraphDecl
 	vars    map[string]*graph.Graph
 	grammar *motif.Grammar
-	out     graph.Collection
 }
 
 func (env *environment) exec(s ast.Stmt) error {
@@ -462,142 +440,61 @@ func (env *environment) flwr(f *ast.FLWRStmt) error {
 		opts.PlanEpoch = d.Version()
 	}
 
-	var tmplDecl *ast.TemplateDecl
-	if f.Return != nil {
-		tmplDecl = f.Return
-	} else {
-		tmplDecl = f.Let
-	}
-
 	workers := env.engine.workerCount()
 	for _, p := range pats {
-		// A streaming return clause pipelines selection into the sink; let
-		// clauses stay buffered (the fold result is a variable, not rows).
-		if f.Return != nil && env.stream != nil {
-			if err := env.streamPattern(fctx, fsp, d, p, f, opts, workers); err != nil {
-				return err
-			}
-			continue
-		}
-		ms, err := env.selectDoc(fctx, fsp, d, p, f.Doc, opts, workers)
-		if err != nil {
-			return err
-		}
 		if f.Return != nil {
-			if err := env.returnFanout(fctx, p, ms, tmplDecl, workers); err != nil {
+			// The selection pushes match groups into the row emitter, so rows
+			// reach the sink while later document graphs are still matching.
+			em := newRowEmitter(env, fctx, p, f.Return, workers)
+			if err := em.close(env.selectDoc(fctx, d, p, opts, workers, em.group)); err != nil {
 				return err
 			}
 			continue
 		}
-		// A let clause folds each match into the accumulator variable: every
-		// instantiation reads the previous value through env.vars, so the
-		// fold is inherently sequential.
-		lsp := fsp.StartChild("let-fold")
-		lsp.Add("items", int64(len(ms)))
-		for _, m := range ms {
-			g, err := env.instantiate(tmplDecl, map[string]algebra.Operand{
-				p.Name: algebra.MatchedOperand(m),
-			})
-			if err != nil {
-				lsp.End()
-				return err
+		// A let clause folds each match into the accumulator variable as its
+		// group arrives: every instantiation reads the previous value through
+		// env.vars, so the fold is inherently sequential. Like the row
+		// emitter's, its span opens on the first group (or at the end of an
+		// empty selection), so it brackets actual fold work.
+		var lsp *obs.Span
+		items := 0
+		err := env.selectDoc(fctx, d, p, opts, workers, func(ms algebra.Matched) error {
+			if items == 0 {
+				lsp = fsp.StartChild("let-fold")
 			}
-			g.Name = f.LetName
-			env.vars[f.LetName] = g
-		}
-		lsp.End()
-	}
-	return nil
-}
-
-// selectDoc evaluates one pattern's selection over a document, picking the
-// access path:
-//
-//   - a sharded document goes through the store Coordinator (fan-out per
-//     shard, per-shard index filter, canonical-order merge — byte-identical
-//     to a serial scan);
-//   - an unsharded document with a path index (the legacy Engine.CollIndex
-//     registration or the store's built-at-registration index) is filtered
-//     to candidates, then selected;
-//   - otherwise the whole collection is selected directly.
-//
-// Engine.CollIndex, when it names the document, wins over the store path:
-// it indexes the whole collection, so it applies even to sharded docs.
-func (env *environment) selectDoc(ctx context.Context, fsp *obs.Span, d *store.Doc, p *pattern.Pattern, docName string, opts match.Options, workers int) (algebra.Matched, error) {
-	engine := env.engine
-	cix, legacy := engine.CollIndex[docName]
-	if !legacy {
-		cix = d.Index() // nil for sharded or unindexed documents
-	}
-	// A configured Selector routes even single-shard documents through the
-	// coordinator: with a remote selector that is the whole point — the
-	// shard servers evaluate, this process only merges.
-	if (d.Sharded() || engine.Selector != nil) && !legacy {
-		co := &store.Coordinator{Selector: engine.Selector}
-		return co.Select(ctx, d, p, opts, engine.IxFor, workers, env.stats)
-	}
-	target, err := env.filterCandidates(fsp, d.Collection(), cix, p)
-	if err != nil {
-		return nil, err
-	}
-	return algebra.SelectionContext(ctx, p, target, opts, engine.IxFor, workers, env.stats)
-}
-
-// filterCandidates applies a collection path index (when present) ahead of
-// selection: the candidate ordinals become the target collection, with the
-// filter counters recorded on an index-filter span. A nil index passes the
-// collection through. Shared by the buffered and streaming access paths.
-func (env *environment) filterCandidates(fsp *obs.Span, coll graph.Collection, cix *gindex.Index, p *pattern.Pattern) (graph.Collection, error) {
-	if cix == nil {
-		return coll, nil
-	}
-	isp := fsp.StartChild("index-filter")
-	cands, err := cix.Candidates(p)
-	isp.End()
-	if err != nil {
-		return nil, err
-	}
-	isp.Add("total", int64(len(coll)))
-	isp.Add("candidates", int64(len(cands)))
-	isp.Add("pruned", int64(len(coll)-len(cands)))
-	obs.GindexCandidates.Add(int64(len(cands)))
-	obs.GindexPruned.Add(int64(len(coll) - len(cands)))
-	filtered := make(graph.Collection, len(cands))
-	for i, gi := range cands {
-		filtered[i] = coll[gi]
-	}
-	return filtered, nil
-}
-
-// returnFanout instantiates the return template for every match on the
-// worker pool. The matches only read the environment (graph variables are
-// not written during a return clause), so instantiations are independent;
-// results land in index-partitioned slots and are appended in match order —
-// output is identical to the serial loop.
-func (env *environment) returnFanout(ctx context.Context, p *pattern.Pattern, ms algebra.Matched, tmplDecl *ast.TemplateDecl, workers int) error {
-	workers = pool.Workers(workers, len(ms))
-	slots := make(graph.Collection, len(ms))
-	sctx, sp := obs.StartSpan(ctx, "return-fanout")
-	sp.Add("items", int64(len(ms)))
-	sp.Add("workers", int64(workers))
-	defer sp.End()
-	start := time.Now()
-	err := pool.Run(sctx, len(ms), workers, func(i int) error {
-		g, err := env.instantiate(tmplDecl, map[string]algebra.Operand{
-			p.Name: algebra.MatchedOperand(ms[i]),
+			items += len(ms)
+			for _, m := range ms {
+				g, err := env.instantiate(f.Let, map[string]algebra.Operand{
+					p.Name: algebra.MatchedOperand(m),
+				})
+				if err != nil {
+					return err
+				}
+				g.Name = f.LetName
+				env.vars[f.LetName] = g
+			}
+			return nil
 		})
+		if items == 0 {
+			lsp = fsp.StartChild("let-fold")
+		}
+		lsp.Add("items", int64(items))
+		lsp.End()
 		if err != nil {
 			return err
 		}
-		slots[i] = g
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	env.stats.RecordOp("return-fanout", len(ms), workers, time.Since(start))
-	env.out = append(env.out, slots...)
 	return nil
+}
+
+// selectDoc evaluates one pattern's selection over a document, pushing each
+// member graph's match group to emit in canonical order. Every document goes
+// through the store coordinator, which picks the access path from the
+// document's shape and the configured selector (see Coordinator.SelectStream);
+// the engine holds no selection code of its own.
+func (env *environment) selectDoc(ctx context.Context, d *store.Doc, p *pattern.Pattern, opts match.Options, workers int, emit func(algebra.Matched) error) error {
+	co := &store.Coordinator{Selector: env.engine.Selector}
+	return co.SelectStream(ctx, d, p, opts, env.engine.IxFor, workers, env.stats, emit)
 }
 
 // instantiate lowers and applies a template declaration. All current graph

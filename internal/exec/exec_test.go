@@ -4,18 +4,24 @@ import (
 	"testing"
 	"time"
 
-	"gqldb/internal/gindex"
 	"gqldb/internal/graph"
 	"gqldb/internal/parser"
+	"gqldb/internal/store"
 )
 
-func run(t *testing.T, store Store, src string) *Result {
+// docs is the plain document map most of these tests start from; newEngine
+// wraps it into an unsharded, unindexed store.
+type docs = map[string]graph.Collection
+
+func newEngine(m docs) *Engine { return NewOver(store.FromMap(m)) }
+
+func run(t *testing.T, store docs, src string) *Result {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := New(store).Run(prog)
+	res, err := newEngine(store).Run(prog)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -52,7 +58,7 @@ func TestCoauthorshipQueryFig412(t *testing.T) {
 		unify P.v1, C.v1 where P.v1.name=C.v1.name;
 		unify P.v2, C.v2 where P.v2.name=C.v2.name;
 	};`
-	res := run(t, Store{"DBLP": dblp()}, src)
+	res := run(t, docs{"DBLP": dblp()}, src)
 	c, ok := res.Vars["C"]
 	if !ok {
 		t.Fatal("variable C not set")
@@ -102,7 +108,7 @@ func TestBooktitleFilter(t *testing.T) {
 		unify P.v1, C.v1 where P.v1.name=C.v1.name;
 		unify P.v2, C.v2 where P.v2.name=C.v2.name;
 	};`
-	res := run(t, Store{"DBLP": coll}, src)
+	res := run(t, docs{"DBLP": coll}, src)
 	c := res.Vars["C"]
 	for _, n := range c.Nodes() {
 		if nm := n.Attrs.GetOr("name").AsString(); nm == "X" || nm == "Y" {
@@ -118,7 +124,7 @@ func TestReturnClause(t *testing.T) {
 	return graph R {
 		node u <label=Q.v1.name>;
 	};`
-	res := run(t, Store{"DBLP": dblp()}, src)
+	res := run(t, docs{"DBLP": dblp()}, src)
 	if len(res.Out) != 5 { // 2 + 3 author nodes
 		t.Fatalf("out = %d graphs, want 5", len(res.Out))
 	}
@@ -136,7 +142,7 @@ func TestNonExhaustive(t *testing.T) {
 	src := `
 	for graph Q { node v1 <author>; } in doc("DBLP")
 	return graph R { node u <label=Q.v1.name>; };`
-	res := run(t, Store{"DBLP": dblp()}, src)
+	res := run(t, docs{"DBLP": dblp()}, src)
 	if len(res.Out) != 2 { // one per paper
 		t.Fatalf("out = %d graphs, want 2", len(res.Out))
 	}
@@ -148,7 +154,7 @@ func TestFLWRWhere(t *testing.T) {
 	for graph Q { node v1 <author>; } exhaustive in doc("DBLP")
 	where Q.v1.name = "A"
 	return graph R { node u <label=Q.v1.name>; };`
-	res := run(t, Store{"DBLP": dblp()}, src)
+	res := run(t, docs{"DBLP": dblp()}, src)
 	if len(res.Out) != 2 { // author A appears in both papers
 		t.Fatalf("out = %d, want 2", len(res.Out))
 	}
@@ -180,7 +186,7 @@ func TestRecursivePatternQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Store{"G": graph.NewCollection(g)})
+	eng := newEngine(docs{"G": graph.NewCollection(g)})
 	eng.DeriveDepth = 3
 	res, err := eng.Run(prog)
 	if err != nil {
@@ -197,7 +203,7 @@ func TestAssignAndReference(t *testing.T) {
 	src := `
 	X := graph { node a <label="A">; };
 	Y := X;`
-	res := run(t, Store{}, src)
+	res := run(t, docs{}, src)
 	if res.Vars["Y"].NumNodes() != 1 {
 		t.Error("Y should copy X")
 	}
@@ -214,7 +220,7 @@ func TestErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		if _, err := New(Store{"DBLP": dblp()}).Run(prog); err == nil {
+		if _, err := newEngine(docs{"DBLP": dblp()}).Run(prog); err == nil {
 			t.Errorf("Run(%q): want error", src)
 		}
 	}
@@ -228,7 +234,7 @@ func TestTemplateGraphAttrs(t *testing.T) {
 	return graph R <derived who=Q.v1.name> {
 		node u;
 	};`
-	res := run(t, Store{"DBLP": dblp()}, src)
+	res := run(t, docs{"DBLP": dblp()}, src)
 	if len(res.Out) != 5 {
 		t.Fatalf("out = %d", len(res.Out))
 	}
@@ -248,14 +254,14 @@ func TestLetWithoutPriorAssign(t *testing.T) {
 	src := `
 	for graph Q { node v1 <author>; } in doc("DBLP")
 	let Z := graph { node u <label=Q.v1.name>; };`
-	res := run(t, Store{"DBLP": dblp()}, src)
+	res := run(t, docs{"DBLP": dblp()}, src)
 	z := res.Vars["Z"]
 	if z == nil || z.NumNodes() != 1 {
 		t.Fatalf("Z = %v", z)
 	}
 }
 
-// TestCollectionIndexFiltering: a doc-level path index must not change
+// TestCollectionIndexFiltering: the store-built path index must not change
 // query results while skipping non-candidate graphs.
 func TestCollectionIndexFiltering(t *testing.T) {
 	coll := dblp()
@@ -266,13 +272,13 @@ func TestCollectionIndexFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := New(Store{"DBLP": coll}).Run(prog)
+	plain, err := newEngine(docs{"DBLP": coll}).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Store{"DBLP": coll})
-	eng.CollIndex = map[string]*gindex.Index{"DBLP": gindex.Build(coll, 2)}
-	indexed, err := eng.Run(prog)
+	ds := store.New(store.Options{IndexMaxLen: 2})
+	ds.RegisterDoc("DBLP", coll)
+	indexed, err := NewOver(ds).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +288,7 @@ func TestCollectionIndexFiltering(t *testing.T) {
 }
 
 func TestEngineRequestScopedOptions(t *testing.T) {
-	base := New(Store{})
+	base := newEngine(docs{})
 	base.Workers = 2
 	base.SlowQuery = time.Second
 

@@ -6,9 +6,10 @@ import (
 	"time"
 
 	"gqldb/internal/ast"
-	"gqldb/internal/gindex"
+	"gqldb/internal/match"
 	"gqldb/internal/obs"
 	"gqldb/internal/parser"
+	"gqldb/internal/store"
 )
 
 const coauthorSrc = `
@@ -33,7 +34,7 @@ func parse(t *testing.T, src string) *ast.Program {
 // TestTraceDisabledByDefault: no Engine.Trace, no ctx span — Result.Trace
 // stays nil and execution is untouched.
 func TestTraceDisabledByDefault(t *testing.T) {
-	e := New(Store{"DBLP": dblp()})
+	e := newEngine(docs{"DBLP": dblp()})
 	res, err := e.RunContext(context.Background(), parse(t, coauthorSrc))
 	if err != nil {
 		t.Fatal(err)
@@ -46,12 +47,12 @@ func TestTraceDisabledByDefault(t *testing.T) {
 // TestTraceSpanTree: Engine.Trace records the whole phase tree with
 // truthful counters, and tracing must not change the results.
 func TestTraceSpanTree(t *testing.T) {
-	plain, err := New(Store{"DBLP": dblp()}).RunContext(context.Background(), parse(t, coauthorSrc))
+	plain, err := newEngine(docs{"DBLP": dblp()}).RunContext(context.Background(), parse(t, coauthorSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	e := New(Store{"DBLP": dblp()})
+	e := newEngine(docs{"DBLP": dblp()})
 	e.Trace = true
 	e.Workers = 4
 	res, err := e.RunContext(context.Background(), parse(t, coauthorSrc))
@@ -116,7 +117,7 @@ func TestTraceSpanTree(t *testing.T) {
 func TestExternalRootSpan(t *testing.T) {
 	root := obs.NewTrace("caller")
 	ctx := obs.NewContext(context.Background(), root)
-	e := New(Store{"DBLP": dblp()}) // note: e.Trace left false
+	e := newEngine(docs{"DBLP": dblp()}) // note: e.Trace left false
 	res, err := e.RunContext(ctx, parse(t, coauthorSrc))
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +135,7 @@ func TestExternalRootSpan(t *testing.T) {
 // TestSlowQueryHook: a 1ns threshold reports every query to the hook with
 // a truthful statement count and the trace when available.
 func TestSlowQueryHook(t *testing.T) {
-	e := New(Store{"DBLP": dblp()})
+	e := newEngine(docs{"DBLP": dblp()})
 	e.Trace = true
 	e.SlowQuery = time.Nanosecond
 	var got []obs.SlowQueryRecord
@@ -162,13 +163,14 @@ func TestSlowQueryHook(t *testing.T) {
 	}
 }
 
-// TestTraceIndexFilterCounters: with a collection index attached, the
+// TestTraceIndexFilterCounters: over a store-built path index, the
 // index-filter span carries candidate/pruned counters that add up.
 func TestTraceIndexFilterCounters(t *testing.T) {
 	coll := dblp()
-	e := New(Store{"DBLP": coll})
+	ds := store.New(store.Options{IndexMaxLen: 2})
+	ds.RegisterDoc("DBLP", coll)
+	e := NewOver(ds)
 	e.Trace = true
-	e.CollIndex = map[string]*gindex.Index{"DBLP": gindex.Build(coll, 2)}
 	res, err := e.RunContext(context.Background(), parse(t, coauthorSrc))
 	if err != nil {
 		t.Fatal(err)
@@ -180,10 +182,62 @@ func TestTraceIndexFilterCounters(t *testing.T) {
 		}
 	})
 	if ix == nil {
-		t.Fatal("no index-filter span with CollIndex set")
+		t.Fatal("no index-filter span over an indexed store")
 	}
 	total, cand, pruned := ix.Count("total"), ix.Count("candidates"), ix.Count("pruned")
 	if total != int64(len(coll)) || cand+pruned != total {
 		t.Fatalf("filter counters total=%d candidates=%d pruned=%d", total, cand, pruned)
+	}
+}
+
+// TestTraceShardedSelectionCounters: on a sharded, indexed document every
+// shard runs its index filter and the selection kernel under the
+// sharded-selection span, so the trace carries the per-shard counters that
+// EXPLAIN's "selection search space" and "plan cache" tables are built from.
+func TestTraceShardedSelectionCounters(t *testing.T) {
+	coll := stressStore(60)["db"]
+	ds := store.New(store.Options{Shards: 4, IndexMaxLen: 2})
+	ds.RegisterDoc("db", coll)
+	e := NewOver(ds)
+	e.Trace = true
+	e.Plans = match.NewPlanCache(64)
+	res, err := e.RunContext(context.Background(), parse(t, stressQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Out) == 0 {
+		t.Fatal("degenerate test: no result rows")
+	}
+	var sharded, filters int
+	sel, ix := map[string]int64{}, map[string]int64{}
+	res.Trace.Walk(func(_ int, sp *obs.Span) {
+		switch sp.Name {
+		case "sharded-selection":
+			sharded++
+		case "selection":
+			for k, v := range sp.Counts() {
+				sel[k] += v
+			}
+		case "index-filter":
+			filters++
+			for k, v := range sp.Counts() {
+				ix[k] += v
+			}
+		}
+	})
+	if sharded != 1 || filters != 4 {
+		t.Fatalf("trace has %d sharded-selection and %d index-filter spans, want 1 and 4", sharded, filters)
+	}
+	if sel["cand_baseline"] == 0 {
+		t.Error("per-shard selection spans carry no cand_baseline: EXPLAIN's search-space table would be empty")
+	}
+	if sel["matches"] != int64(len(res.Out)) {
+		t.Errorf("selection spans count %d matches, result has %d rows", sel["matches"], len(res.Out))
+	}
+	if ix["total"] != int64(len(coll)) || ix["candidates"]+ix["pruned"] != ix["total"] {
+		t.Errorf("filter counters total=%d candidates=%d pruned=%d over %d graphs", ix["total"], ix["candidates"], ix["pruned"], len(coll))
+	}
+	if got := sel["plan_cache_hits"] + sel["plan_cache_misses"]; got != ix["candidates"] {
+		t.Errorf("plan-cache counters cover %d graphs, the filters passed %d", got, ix["candidates"])
 	}
 }

@@ -15,7 +15,7 @@ import (
 // stressStore builds a store of many small random graphs so the for-clause
 // fans out over enough matches for the race detector to observe worker
 // interleavings.
-func stressStore(n int) Store {
+func stressStore(n int) docs {
 	rng := rand.New(rand.NewSource(7))
 	var c graph.Collection
 	for i := 0; i < n; i++ {
@@ -32,7 +32,7 @@ func stressStore(n int) Store {
 		}
 		c = append(c, g)
 	}
-	return Store{"db": c}
+	return docs{"db": c}
 }
 
 const stressQuery = `
@@ -53,7 +53,7 @@ func TestRunContextWorkersMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New(store).Run(prog)
+	want, err := newEngine(store).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRunContextWorkersMatchSerial(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for _, workers := range []int{0, 1, 2, 7, -1, 4 * len(store["db"])} {
-			e := New(store)
+			e := newEngine(store)
 			e.Workers = workers
 			got, err := e.RunContext(context.Background(), prog)
 			if err != nil {
@@ -94,7 +94,7 @@ func TestRunContextConcurrentCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New(store).Run(prog)
+	want, err := newEngine(store).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRunContextConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := New(store)
+			e := newEngine(store)
 			e.Workers = 4
 			res, err := e.RunContext(context.Background(), prog)
 			errs[k] = err
@@ -141,7 +141,7 @@ func TestRunContextMidFlightCancellation(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		go cancel()
-		e := New(store)
+		e := newEngine(store)
 		e.Workers = 4
 		_, err := e.RunContext(ctx, prog)
 		if err != nil && !errors.Is(err, context.Canceled) {
@@ -152,7 +152,7 @@ func TestRunContextMidFlightCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := New(store).RunContext(ctx, prog); !errors.Is(err, context.Canceled) {
+	if _, err := newEngine(store).RunContext(ctx, prog); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
 }

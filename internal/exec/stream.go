@@ -3,8 +3,8 @@
 // time — and this file exposes that incrementality: StreamQuery pushes
 // result rows into a caller-supplied ResultSink as the return-clause
 // fan-out produces them, in exactly the order the buffered path would
-// collect. RunQuery is a thin collect-sink wrapper over it, so the two
-// paths cannot drift.
+// collect. RunQuery and RunContext are thin collect-sink wrappers over the
+// same pipeline, so buffered and streamed results cannot drift.
 //
 // Backpressure is blocking: Emit runs on the coordinating goroutine
 // between parallel chunks, so a slow sink pauses selection and fan-out
@@ -270,11 +270,10 @@ func emitChunk(workers int) int {
 
 // rowEmitter is the streaming return clause: matches accumulate into
 // fixed-size chunks, each chunk is instantiated on the worker pool into
-// index-partitioned slots, and the slots are emitted in order — the same
-// sequence returnFanout appends, but with bounded memory and the sink's
-// backpressure between chunks. Skip is applied before instantiation
-// (skipped rows are never materialized) and a reached take stops the
-// selection upstream via errStreamDone.
+// index-partitioned slots, and the slots are emitted in order with bounded
+// memory and the sink's backpressure between chunks. Skip is applied
+// before instantiation (skipped rows are never materialized) and a reached
+// take stops the selection upstream via errStreamDone.
 type rowEmitter struct {
 	env     *environment
 	ctx     context.Context
@@ -383,146 +382,4 @@ func (em *rowEmitter) close(perr error) error {
 	em.env.stats.RecordOp("return-fanout", int(em.items), resolved, time.Since(em.start))
 	em.sp.End()
 	return perr
-}
-
-// streamPattern runs one pattern's select-and-return pipeline: the
-// selection pushes match groups into the row emitter instead of collecting
-// them, so rows reach the sink while later document graphs are still being
-// matched.
-func (env *environment) streamPattern(ctx context.Context, fsp *obs.Span, d *store.Doc, p *pattern.Pattern, f *ast.FLWRStmt, opts match.Options, workers int) error {
-	em := newRowEmitter(env, ctx, p, f.Return, workers)
-	return em.close(env.selectDocStream(ctx, fsp, d, p, f.Doc, opts, workers, em.group))
-}
-
-// selectDocStream is selectDoc with a push consumer: the same access-path
-// choice (legacy collection index, sharded coordinator, store index,
-// direct scan), but match groups flow to emit in canonical order instead
-// of accumulating.
-func (env *environment) selectDocStream(ctx context.Context, fsp *obs.Span, d *store.Doc, p *pattern.Pattern, docName string, opts match.Options, workers int, emit func(algebra.Matched) error) error {
-	engine := env.engine
-	cix, legacy := engine.CollIndex[docName]
-	if !legacy {
-		cix = d.Index()
-	}
-	// Same selector routing as selectDoc: a configured Selector (e.g. the
-	// remote shard client) takes even single-shard documents.
-	if (d.Sharded() || engine.Selector != nil) && !legacy {
-		co := &store.Coordinator{Selector: engine.Selector}
-		return co.SelectStream(ctx, d, p, opts, engine.IxFor, workers, env.stats, emit)
-	}
-	target, err := env.filterCandidates(fsp, d.Collection(), cix, p)
-	if err != nil {
-		return err
-	}
-	return env.streamSelect(ctx, p, target, opts, workers, emit)
-}
-
-// selectionChunk sizes the candidate batch one streaming selection round
-// matches before emission: a few graphs per worker, floored so serial
-// streams still amortize the span bookkeeping.
-func selectionChunk(resolved int) int {
-	if c := 4 * resolved; c > 64 {
-		return c
-	}
-	return 64
-}
-
-// streamSelect evaluates σ_P over an unsharded collection in bounded
-// chunks, pushing each graph's match group to emit in collection order.
-// Spans, counters and OpStats match algebra.SelectionContext exactly; the
-// only difference is that groups leave as they complete instead of
-// accumulating, so an early stop (take reached, sink error) abandons the
-// unmatched tail.
-func (env *environment) streamSelect(ctx context.Context, p *pattern.Pattern, c graph.Collection, opts match.Options, workers int, emit func(algebra.Matched) error) error {
-	if err := p.Compile(); err != nil {
-		return err
-	}
-	resolved := pool.Workers(workers, len(c))
-	sctx, sp := obs.StartSpan(ctx, "selection")
-	if sp != nil {
-		sp.Add("items", int64(len(c)))
-		sp.Add("workers", int64(resolved))
-	}
-	start := time.Now()
-	ixFor := env.engine.IxFor
-	chunk := selectionChunk(resolved)
-	if chunk > len(c) {
-		chunk = len(c)
-	}
-	slots := make([]algebra.Matched, chunk)
-	matches := 0
-	fail := func(err error) error {
-		sp.End()
-		return err
-	}
-	for lo := 0; lo < len(c); lo += chunk {
-		hi := lo + chunk
-		if hi > len(c) {
-			hi = len(c)
-		}
-		n := hi - lo
-		for i := 0; i < n; i++ {
-			slots[i] = nil
-		}
-		err := pool.Run(sctx, n, pool.Workers(workers, n), func(i int) error {
-			g := c[lo+i]
-			var ix *match.Index
-			if ixFor != nil {
-				ix = ixFor(g)
-			}
-			maps, mst, err := match.FindContext(sctx, p, g, ix, opts)
-			if err != nil {
-				return err
-			}
-			if sp != nil {
-				sp.Add("cand_baseline", sumCounts(mst.CandBaseline))
-				sp.Add("cand_local", sumCounts(mst.CandLocal))
-				sp.Add("cand_refined", sumCounts(mst.CandRefined))
-				sp.Add("search_steps", mst.SearchSteps)
-				sp.Add("matches", int64(len(maps)))
-				if mst.PlanCacheHit {
-					sp.Add("plan_cache_hits", 1)
-				} else if opts.Plans != nil {
-					sp.Add("plan_cache_misses", 1)
-				}
-			}
-			if len(maps) > 0 {
-				// One batch allocation per graph instead of one per match, as
-				// in algebra.SelectionContext.
-				mgs := make([]algebra.MatchedGraph, len(maps))
-				for j, m := range maps {
-					mgs[j] = algebra.MatchedGraph{P: p, G: g, M: m}
-					slots[i] = append(slots[i], &mgs[j])
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return fail(err)
-		}
-		for i := 0; i < n; i++ {
-			if len(slots[i]) == 0 {
-				continue
-			}
-			matches += len(slots[i])
-			if err := emit(slots[i]); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	wall := time.Since(start)
-	env.stats.RecordOp("selection", len(c), resolved, wall)
-	obs.SelectionSeconds.Observe(wall)
-	obs.Matches.Add(int64(matches))
-	sp.SetAttr("pattern", p.Name)
-	sp.End()
-	return nil
-}
-
-func sumCounts(xs []int) int64 {
-	var s int64
-	for _, x := range xs {
-		s += int64(x)
-	}
-	return s
 }

@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"gqldb/internal/algebra"
+	"gqldb/internal/ast"
 	"gqldb/internal/graph"
+	"gqldb/internal/match"
 	"gqldb/internal/store"
 )
 
@@ -46,6 +49,40 @@ func render(c graph.Collection) []string {
 	return out
 }
 
+// referenceRows evaluates a single for/return program over coll without the
+// engine: a plain loop with match.Find over the inline pattern, then the
+// return template once per binding. It shares nothing with the selection
+// kernel — no pool, no rounds, no index filter, no coordinator.
+func referenceRows(t *testing.T, src string, coll graph.Collection) []string {
+	t.Helper()
+	f := parse(t, src).Stmts[0].(*ast.FLWRStmt)
+	p, err := f.Pattern.ToPattern()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, err := f.Return.ToTemplate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, g := range coll {
+		maps, _, err := match.Find(p, g, nil, match.Options{Exhaustive: f.Exhaustive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range maps {
+			row, err := tmpl.Instantiate(map[string]algebra.Operand{
+				p.Name: algebra.MatchedOperand(&algebra.MatchedGraph{P: p, G: g, M: m}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, row.String())
+		}
+	}
+	return rows
+}
+
 // window applies the documented skip/take semantics to the full result:
 // the take limit is checked before and after every row (so take of the
 // exact result size, and take zero over a non-empty result, both count as
@@ -72,17 +109,20 @@ func window(all []string, skip, take int) (rows []string, skipped int, truncated
 
 // TestStreamMatchesBufferedGrid proves the tentpole contract: for every
 // shard count, worker count and skip/take edge, the streamed rows are
-// byte-identical to the buffered result windowed in plain Go.
+// byte-identical to the engine-free reference windowed in plain Go, and so
+// is the buffered result.
 func TestStreamMatchesBufferedGrid(t *testing.T) {
 	coll := authors(23)
 	n := len(coll)
 
-	// The buffered path over the unsharded serial engine is the oracle.
-	oracle, err := New(Store{"DBLP": coll}).RunQuery(context.Background(), streamAuthorsSrc)
+	all := referenceRows(t, streamAuthorsSrc, coll)
+	buffered, err := newEngine(docs{"DBLP": coll}).RunQuery(context.Background(), streamAuthorsSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := render(oracle.Out)
+	if got := render(buffered.Out); fmt.Sprint(got) != fmt.Sprint(all) {
+		t.Fatalf("buffered result differs from the reference:\ngot:  %v\nwant: %v", got, all)
+	}
 	if len(all) != n {
 		t.Fatalf("oracle rows = %d, want %d", len(all), n)
 	}
@@ -145,7 +185,7 @@ func (s *errorSink) Emit(g *graph.Graph) error {
 // TestStreamSinkStop ends the stream early via ErrStopStream: a truncated
 // success, not an error.
 func TestStreamSinkStop(t *testing.T) {
-	e := New(Store{"DBLP": authors(40)})
+	e := newEngine(docs{"DBLP": authors(40)})
 	sink := &errorSink{pass: 3, err: ErrStopStream}
 	res, err := e.StreamQuery(context.Background(), streamAuthorsSrc, sink, StreamOptions{Take: AllRows})
 	if err != nil {
@@ -162,7 +202,7 @@ func TestStreamSinkStop(t *testing.T) {
 // TestStreamSinkErrorAborts propagates a non-sentinel sink error as the
 // query error.
 func TestStreamSinkErrorAborts(t *testing.T) {
-	e := New(Store{"DBLP": authors(40)})
+	e := newEngine(docs{"DBLP": authors(40)})
 	boom := errors.New("sink exploded")
 	_, err := e.StreamQuery(context.Background(), streamAuthorsSrc, &errorSink{pass: 2, err: boom}, StreamOptions{Take: AllRows})
 	if !errors.Is(err, boom) {
@@ -206,7 +246,7 @@ func TestStreamCancelMidStream(t *testing.T) {
 // result cache; replays stream identical rows (cloned, so sink mutation
 // never corrupts the entry) and honor skip/take.
 func TestStreamCacheFillAndReplay(t *testing.T) {
-	e := New(Store{"DBLP": authors(10)})
+	e := newEngine(docs{"DBLP": authors(10)})
 	e.Cache = store.NewCache(4)
 
 	first := &CollectSink{}
@@ -267,7 +307,7 @@ func TestStreamCacheFillAndReplay(t *testing.T) {
 // TestStreamTruncatedNeverFillsCache: a paginated (or sink-stopped) stream
 // must not masquerade as the full result in the cache.
 func TestStreamTruncatedNeverFillsCache(t *testing.T) {
-	e := New(Store{"DBLP": authors(10)})
+	e := newEngine(docs{"DBLP": authors(10)})
 	e.Cache = store.NewCache(4)
 
 	if _, err := e.StreamQuery(context.Background(), streamAuthorsSrc, &CollectSink{}, StreamOptions{Take: 2}); err != nil {
@@ -328,7 +368,7 @@ func TestStreamSnapshotPinned(t *testing.T) {
 // grows 100× — the pipeline never materializes the result set.
 func TestStreamConstantMemory(t *testing.T) {
 	measure := func(coll graph.Collection) float64 {
-		e := New(Store{"DBLP": coll})
+		e := newEngine(docs{"DBLP": coll})
 		return testing.AllocsPerRun(10, func() {
 			sink := &CollectSink{}
 			if _, err := e.StreamQuery(context.Background(), streamAuthorsSrc, sink, StreamOptions{Take: 5}); err != nil {
@@ -352,7 +392,7 @@ func TestStreamConstantMemory(t *testing.T) {
 func TestStreamStressRace(t *testing.T) {
 	coll := authors(97)
 	want := func() []string {
-		res, err := New(Store{"DBLP": coll}).RunQuery(context.Background(), streamAuthorsSrc)
+		res, err := newEngine(docs{"DBLP": coll}).RunQuery(context.Background(), streamAuthorsSrc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,6 +41,28 @@ func Parse(src string) (*ast.Program, error) {
 	return prog, nil
 }
 
+// ParseCollection parses a document in the text syntax — a program made of
+// graph literals only — into the collection it denotes, in source order.
+func ParseCollection(src string) (graph.Collection, error) {
+	prog, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	var coll graph.Collection
+	for _, s := range prog.Stmts {
+		d, ok := s.(*ast.GraphDecl)
+		if !ok {
+			return nil, fmt.Errorf("parser: documents may contain only graph literals")
+		}
+		g, err := d.ToGraph()
+		if err != nil {
+			return nil, err
+		}
+		coll = append(coll, g)
+	}
+	return coll, nil
+}
+
 // ParseExpr parses a standalone predicate expression (used by tests and by
 // programmatic query construction).
 func ParseExpr(src string) (expr.Expr, error) {

@@ -16,7 +16,9 @@ import (
 	"time"
 
 	gexec "gqldb/internal/exec"
+	"gqldb/internal/graph"
 	"gqldb/internal/parser"
+	"gqldb/internal/store"
 )
 
 // TestServerBlackBox builds cmd/gqlserver, starts it on a random port with
@@ -141,7 +143,7 @@ func TestServerBlackBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := gexec.New(gexec.Store{"DBLP": dblp()}).Run(prog)
+	oracle, err := gexec.NewOver(store.FromMap(map[string]graph.Collection{"DBLP": dblp()})).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"gqldb/internal/ast"
 	"gqldb/internal/exec"
 	"gqldb/internal/graph"
 	"gqldb/internal/match"
@@ -166,42 +165,49 @@ func (s *Server) timeout(req queryRequest) time.Duration {
 	return d
 }
 
-// runRequest is the shared body of /query and /explain: admission, body
-// decode, deadline, parse, evaluate. It returns the result, the wall time
-// and the parsed-and-run flag; on false the error response is already
-// written.
-func (s *Server) runRequest(w *statusWriter, r *http.Request, trace bool) (*exec.Result, time.Duration, bool) {
+// begin is the one request prologue of the query, explain and mutate
+// endpoints: reserve an admission slot, decode the body, and derive the
+// request context from the server's base context (so a drain past its grace
+// period cancels it) with the per-request deadline applied and client
+// disconnect propagated via AfterFunc. On ok the caller must call done; on
+// false the rejection is already written.
+func (s *Server) begin(w *statusWriter, r *http.Request) (req queryRequest, ctx context.Context, done func(), ok bool) {
 	release, ok := s.admit(w)
 	if !ok {
-		return nil, 0, false
+		return req, nil, nil, false
 	}
-	defer release()
-
-	req, ok := s.readRequest(w, r)
+	req, ok = s.readRequest(w, r)
 	if !ok {
-		return nil, 0, false
+		release()
+		return req, nil, nil, false
 	}
-
-	// The request context descends from the server's base context (so a
-	// drain past its grace period cancels it) with the per-request deadline
-	// applied; client disconnect propagates via AfterFunc.
 	ctx, cancel := context.WithTimeout(s.base, s.timeout(req))
-	defer cancel()
 	stop := context.AfterFunc(r.Context(), cancel)
-	defer stop()
+	return req, ctx, func() { stop(); cancel(); release() }, true
+}
 
-	// RunQuery parses, consults the result cache (keyed on the canonical
-	// program text and the store version) and evaluates on a miss.
+// runRequest is the shared body of /query and /explain: the v1 endpoints
+// are a CollectSink over the same StreamQuery call /v2/query streams from
+// (parse, result cache keyed on the canonical program text and the store
+// version, evaluation on a miss). It returns the buffered rows, the stream
+// summary and the wall time; on false the error response is already written.
+func (s *Server) runRequest(w *statusWriter, r *http.Request, trace bool) (graph.Collection, *exec.StreamResult, time.Duration, bool) {
+	req, ctx, done, ok := s.begin(w, r)
+	if !ok {
+		return nil, nil, 0, false
+	}
+	defer done()
 	eng := s.engine.Request(exec.RequestOptions{Workers: req.Workers, Trace: trace})
+	sink := &exec.CollectSink{}
 	start := time.Now()
-	res, err := eng.RunQuery(ctx, req.Query)
+	sres, err := eng.StreamQuery(ctx, req.Query, sink, exec.StreamOptions{Take: exec.AllRows})
 	wall := time.Since(start)
 	if err != nil {
 		status, code, msg := s.errorFor(req, err)
 		writeError(w, status, code, msg)
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
-	return res, wall, true
+	return sink.Graphs, sres, wall, true
 }
 
 // errorFor maps an engine error to the wire contract shared by v1 and v2:
@@ -228,16 +234,16 @@ func (s *Server) errorFor(req queryRequest, err error) (status int, code, msg st
 
 // handleQuery serves POST /query.
 func (s *Server) handleQuery(w *statusWriter, r *http.Request) {
-	res, wall, ok := s.runRequest(w, r, false)
+	rows, res, wall, ok := s.runRequest(w, r, false)
 	if !ok {
 		return
 	}
 	out := queryResponse{
-		Results: make([]string, len(res.Out)),
+		Results: make([]string, len(rows)),
 		WallMS:  float64(wall) / float64(time.Millisecond),
 		Vars:    renderVars(res.Vars),
 	}
-	for i, g := range res.Out {
+	for i, g := range rows {
 		out.Results[i] = renderGraph(g)
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -247,14 +253,14 @@ func (s *Server) handleQuery(w *statusWriter, r *http.Request) {
 // enabled and the response is the observability view — span tree, rendered
 // tree and per-operator table.
 func (s *Server) handleExplain(w *statusWriter, r *http.Request) {
-	res, wall, ok := s.runRequest(w, r, true)
+	rows, res, wall, ok := s.runRequest(w, r, true)
 	if !ok {
 		return
 	}
 	out := explainResponse{
 		Trace:   spanToJSON(res.Trace),
 		Render:  res.Trace.Render(),
-		Results: len(res.Out),
+		Results: len(rows),
 		WallMS:  float64(wall) / float64(time.Millisecond),
 	}
 	if res.Stats != nil {
@@ -367,23 +373,10 @@ func (s *Server) handleAdminDoc(w *statusWriter, r *http.Request) {
 			return
 		}
 	} else {
-		prog, perr := parser.Parse(string(body))
-		if perr != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "parsing document: "+perr.Error())
+		coll, err = parser.ParseCollection(string(body))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad_request", "parsing document: "+err.Error())
 			return
-		}
-		for _, st := range prog.Stmts {
-			d, ok := st.(*ast.GraphDecl)
-			if !ok {
-				writeError(w, http.StatusBadRequest, "bad_request", "documents may contain only graph literals")
-				return
-			}
-			g, gerr := d.ToGraph()
-			if gerr != nil {
-				writeError(w, http.StatusBadRequest, "bad_request", gerr.Error())
-				return
-			}
-			coll = append(coll, g)
 		}
 	}
 	v := s.RegisterDoc(name, coll)

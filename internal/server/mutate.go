@@ -8,7 +8,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"time"
@@ -30,20 +29,11 @@ type mutateResponse struct {
 // The endpoint is mounted only under Config.Admin, like /admin/doc: the
 // write surface is for trusted operators, not the query plane.
 func (s *Server) handleMutateV2(w *statusWriter, r *http.Request) {
-	release, ok := s.admit(w)
+	req, ctx, done, ok := s.begin(w, r)
 	if !ok {
 		return
 	}
-	defer release()
-	req, ok := s.readRequest(w, r)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(s.base, s.timeout(req))
-	defer cancel()
-	stop := context.AfterFunc(r.Context(), cancel)
-	defer stop()
-
+	defer done()
 	start := time.Now()
 	sum, err := s.engine.Mutate(ctx, req.Query)
 	if err != nil {

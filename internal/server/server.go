@@ -139,7 +139,7 @@ type Server struct {
 // New returns a server over cfg.Engine with defaults applied.
 func New(cfg Config) *Server {
 	if cfg.Engine == nil {
-		cfg.Engine = exec.New(exec.Store{})
+		cfg.Engine = exec.NewOver(nil)
 	}
 	if cfg.Engine.Docs == nil {
 		cfg.Engine.Docs = store.New(store.Options{})

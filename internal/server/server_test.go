@@ -14,6 +14,7 @@ import (
 	"gqldb/internal/exec"
 	"gqldb/internal/graph"
 	"gqldb/internal/parser"
+	"gqldb/internal/store"
 )
 
 // dblp is the small collection of Figure 4.13.
@@ -61,7 +62,7 @@ const pathQuery = `for graph Q {
 // top of the test defaults.
 func newTestServer(t *testing.T, mut func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
-	eng := exec.New(exec.Store{"DBLP": dblp(), "BIG": bigClique(30)})
+	eng := exec.NewOver(store.FromMap(map[string]graph.Collection{"DBLP": dblp(), "BIG": bigClique(30)}))
 	cfg := Config{
 		Engine:    eng,
 		Timeout:   10 * time.Second,
@@ -106,7 +107,7 @@ func TestQueryMatchesEmbeddedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := exec.New(exec.Store{"DBLP": dblp()}).Run(prog)
+	oracle, err := exec.NewOver(store.FromMap(map[string]graph.Collection{"DBLP": dblp()})).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

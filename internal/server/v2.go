@@ -154,23 +154,14 @@ func (e *rowSink) Emit(g *graph.Graph) error {
 
 // handleQueryV2 serves POST /v2/query.
 func (s *Server) handleQueryV2(w *statusWriter, r *http.Request) {
-	release, ok := s.admit(w)
+	req, ctx, done, ok := s.begin(w, r)
 	if !ok {
 		return
 	}
-	defer release()
-	req, ok := s.readRequest(w, r)
-	if !ok {
-		return
-	}
+	defer done()
 	if !s.validateV2(w, req) {
 		return
 	}
-	ctx, cancel := context.WithTimeout(s.base, s.timeout(req))
-	defer cancel()
-	stop := context.AfterFunc(r.Context(), cancel)
-	defer stop()
-
 	eng := s.engine.Request(exec.RequestOptions{Workers: req.Workers})
 	nw := s.newNDJSONWriter(w)
 	em := &rowSink{nw: nw, project: req.Project, n: req.Skip}

@@ -101,6 +101,10 @@ func (s *Server) RegisterDoc(name string, c graph.Collection) uint64 {
 	return s.store.RegisterDoc(name, c)
 }
 
+// Bootstrap runs a startup document bootstrap (store.BootstrapFiles) against
+// the mirror, before the server is handed to a listener.
+func (s *Server) Bootstrap(fn func(*store.DocStore) error) error { return fn(s.store) }
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)

@@ -83,50 +83,45 @@ type ShardSelector interface {
 	SelectShard(ctx context.Context, req ShardRequest) (ShardResult, error)
 }
 
-// LocalSelector is the in-process ShardSelector: index-filter the shard's
-// members (when the shard carries a path index), then match the survivors
-// on a bounded worker pool.
+// candidates runs the shard's access method ahead of the kernel: the
+// shard-local ordinals (into sh.Coll) that may contain the pattern, with the
+// filter counters on an index-filter span. A shard without a path index
+// passes every member; a nil slice from a carrying index is proof no member
+// can match (gindex contract).
+func (sh *Shard) candidates(ctx context.Context, p *pattern.Pattern) ([]int32, error) {
+	if sh.Ix == nil {
+		return algebra.Ordinals(len(sh.Coll)), nil
+	}
+	_, isp := obs.StartSpan(ctx, "index-filter")
+	cands, err := sh.Ix.Candidates(p)
+	isp.End()
+	if err != nil {
+		return nil, err
+	}
+	pruned := int64(len(sh.Coll) - len(cands))
+	isp.Add("total", int64(len(sh.Coll)))
+	isp.Add("candidates", int64(len(cands)))
+	isp.Add("pruned", pruned)
+	obs.GindexCandidates.Add(int64(len(cands)))
+	obs.GindexPruned.Add(pruned)
+	return cands, nil
+}
+
+// LocalSelector is the in-process ShardSelector: the shard's index filter,
+// then the selection kernel over the survivors, collected into Groups.
 type LocalSelector struct{}
 
-// SelectShard implements ShardSelector. req.P must already be compiled
-// (the Coordinator compiles once before fan-out; concurrent Compile calls
-// on a compiled pattern only read the done flag).
+// SelectShard implements ShardSelector.
 func (LocalSelector) SelectShard(ctx context.Context, req ShardRequest) (ShardResult, error) {
 	sh := req.Shard
 	res := ShardResult{Groups: make([]algebra.Matched, len(sh.Coll))}
-	// Shard-local candidate set: ordinals into sh.Coll. A nil slice from a
-	// carrying index is proof no member can match (gindex contract).
-	var work []int32
-	if sh.Ix != nil {
-		cands, err := sh.Ix.Candidates(req.P)
-		if err != nil {
-			return res, err
-		}
-		work = cands
-		obs.GindexCandidates.Add(int64(len(cands)))
-		obs.GindexPruned.Add(int64(len(sh.Coll) - len(cands)))
-	} else {
-		work = make([]int32, len(sh.Coll))
-		for i := range work {
-			work[i] = int32(i)
-		}
+	cands, err := sh.candidates(ctx, req.P)
+	if err != nil {
+		return res, err
 	}
-	res.Candidates = len(work)
-	workers := pool.Workers(req.Workers, len(work))
-	err := pool.Run(ctx, len(work), workers, func(i int) error {
-		li := work[i]
-		g := sh.Coll[li]
-		var ix *match.Index
-		if req.IxFor != nil {
-			ix = req.IxFor(g)
-		}
-		maps, _, err := match.FindContext(ctx, req.P, g, ix, req.Opt)
-		if err != nil {
-			return err
-		}
-		for _, m := range maps {
-			res.Groups[li] = append(res.Groups[li], &algebra.MatchedGraph{P: req.P, G: g, M: m})
-		}
+	res.Candidates = len(cands)
+	err = algebra.SelectStream(ctx, req.P, sh.Coll, cands, req.Opt, req.IxFor, req.Workers, func(li int, group algebra.Matched) error {
+		res.Groups[li] = group
 		return nil
 	})
 	return res, err
@@ -162,13 +157,22 @@ func (co *Coordinator) Select(ctx context.Context, d *Doc, p *pattern.Pattern, o
 	return out, nil
 }
 
-// SelectStream is Select with a push consumer: shards still evaluate
-// concurrently, but the merge is a frontier walk — as each shard reports
-// done, every canonical ordinal whose owning shard has finished is emitted
-// (non-empty groups only, ascending ordinal), so downstream consumers see
-// the first rows while slower shards are still matching. emit runs on the
-// calling goroutine; an emit error (including the streaming pipeline's
-// early-stop sentinel) cancels the remaining shard fan-out and is returned
+// SelectStream is Select with a push consumer, and the one entry point the
+// engine's for-clause calls. The access path is chosen from what the
+// coordinator can see, not from an option:
+//
+//   - one shard and an in-process selector: there is nothing to merge (the
+//     shard's ordinals are the document's), so the shard's index filter and
+//     the selection kernel stream straight to emit and an early stop
+//     abandons the unmatched tail;
+//   - otherwise shards evaluate concurrently through the selector and the
+//     merge is a frontier walk — as each shard reports done, every canonical
+//     ordinal whose owning shard has finished is emitted (non-empty groups
+//     only, ascending ordinal), so downstream consumers see the first rows
+//     while slower shards are still matching.
+//
+// emit runs on the calling goroutine; an emit error (including the streaming
+// pipeline's early-stop sentinel) cancels the remaining work and is returned
 // as-is.
 func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Pattern, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int, stats *match.Stats, emit func(algebra.Matched) error) error {
 	if err := p.Compile(); err != nil {
@@ -179,6 +183,9 @@ func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Patt
 		sel = LocalSelector{}
 	}
 	shards := d.Shards()
+	if _, local := sel.(LocalSelector); local && len(shards) == 1 {
+		return selectOneShard(ctx, shards[0], p, opt, ixFor, workers, stats, emit)
+	}
 	resolved := pool.Workers(workers, d.Len())
 	outer := resolved
 	if outer > len(shards) {
@@ -331,5 +338,28 @@ func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Patt
 	}
 	sp.SetAttr("pattern", p.Name)
 	sp.End()
+	return nil
+}
+
+// selectOneShard is the unsharded in-process path of SelectStream: filter,
+// then the kernel, with the op-level records of a plain selection.
+func selectOneShard(ctx context.Context, sh *Shard, p *pattern.Pattern, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int, stats *match.Stats, emit func(algebra.Matched) error) error {
+	cands, err := sh.candidates(ctx, p)
+	if err != nil {
+		return err
+	}
+	matches := 0
+	start := time.Now()
+	err = algebra.SelectStream(ctx, p, sh.Coll, cands, opt, ixFor, workers, func(_ int, group algebra.Matched) error {
+		matches += len(group)
+		return emit(group)
+	})
+	if err != nil {
+		return err
+	}
+	wall := time.Since(start)
+	stats.RecordOp("selection", len(cands), pool.Workers(workers, len(cands)), wall)
+	obs.SelectionSeconds.Observe(wall)
+	obs.Matches.Add(int64(matches))
 	return nil
 }

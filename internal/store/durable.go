@@ -28,7 +28,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"gqldb/internal/graph"
 	"gqldb/internal/obs"
@@ -316,34 +315,4 @@ func loadCheckpoint(s *DocStore, path string) (uint64, error) {
 	}
 	s.seed(storeVersion, docs)
 	return storeVersion, nil
-}
-
-// BootstrapFiles returns a Bootstrap that registers each name=path GQLB
-// file, sorted by name for determinism, skipping names already restored
-// by a checkpoint — the contract OpenDurable's recovery protocol needs.
-func BootstrapFiles(files map[string]string) func(*DocStore) error {
-	return func(s *DocStore) error {
-		names := make([]string, 0, len(files))
-		for name := range files {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		present := s.Snapshot()
-		for _, name := range names {
-			if _, ok := present.Doc(name); ok {
-				continue
-			}
-			f, err := os.Open(files[name])
-			if err != nil {
-				return err
-			}
-			coll, err := graph.ReadBinary(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("document %q: %w", name, err)
-			}
-			s.RegisterDoc(name, coll)
-		}
-		return nil
-	}
 }

@@ -47,17 +47,10 @@ func remoteEngine(shards int, endpoints []string, docs map[string]graph.Collecti
 
 // TestRemoteSelectorGrid is the oracle: across a shards × workers grid, a
 // frontend fanning selection to a 3-process cluster renders byte-identical
-// results to the embedded single-process engine.
+// results to the engine-free reference.
 func TestRemoteSelectorGrid(t *testing.T) {
 	docs := map[string]graph.Collection{"db": randomCollection(60, 5)}
-	// The embedded oracle: unsharded, serial.
-	oracle := exec.NewOver(store.New(store.Options{}))
-	oracle.Docs.RegisterDoc("db", docs["db"])
-	want, err := oracle.RunQuery(t.Context(), storeQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantS := renderResult(want)
+	wantS := referenceResult(t, docs["db"])
 
 	for _, shards := range []int{1, 3, 7} {
 		endpoints := startCluster(t, 3, shards, docs)
@@ -69,7 +62,7 @@ func TestRemoteSelectorGrid(t *testing.T) {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 			}
 			if gotS := renderResult(got); gotS != wantS {
-				t.Fatalf("shards=%d workers=%d: cluster diverged from embedded engine\n got: %q\nwant: %q",
+				t.Fatalf("shards=%d workers=%d: cluster diverged from the reference\n got: %q\nwant: %q",
 					shards, workers, gotS, wantS)
 			}
 		}

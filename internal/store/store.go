@@ -86,9 +86,9 @@ func New(opts Options) *DocStore {
 	return &DocStore{opts: opts, docs: map[string]*Doc{}}
 }
 
-// FromMap wraps a plain document map (the legacy exec.Store shape) into an
-// unsharded, unindexed DocStore — the compatibility constructor behind
-// exec.New. The map is read once; later changes to it are not observed.
+// FromMap wraps a plain document map into an unsharded, unindexed DocStore
+// (exec.NewOver(store.FromMap(m)) is the engine over a map). The map is read
+// once; later changes to it are not observed.
 func FromMap(m map[string]graph.Collection) *DocStore {
 	s := New(Options{})
 	// Deterministic registration order so version numbers are reproducible.
@@ -283,16 +283,6 @@ func (d *Doc) Shards() []*Shard { return d.shards }
 
 // Sharded reports whether the document is split across more than one shard.
 func (d *Doc) Sharded() bool { return len(d.shards) > 1 }
-
-// Index returns the single shard's path index when the document is
-// unsharded (the whole-document index), else nil: sharded documents are
-// filtered per shard by the Coordinator.
-func (d *Doc) Index() *gindex.Index {
-	if len(d.shards) == 1 {
-		return d.shards[0].Ix
-	}
-	return nil
-}
 
 // Shard is one hash partition of a document: the member graphs it owns,
 // their ordinals in the document's canonical order (ascending — the

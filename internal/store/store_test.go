@@ -144,19 +144,55 @@ func TestShardPartition(t *testing.T) {
 	}
 }
 
+// referenceSelection is the oracle the byte-identity grids compare against:
+// a plain loop over the collection with match.Find. It shares nothing with
+// the selection kernel — no pool, no rounds, no index filter, no coordinator.
+func referenceSelection(t testing.TB, p *pattern.Pattern, coll graph.Collection, opt match.Options) algebra.Matched {
+	t.Helper()
+	var out algebra.Matched
+	for _, g := range coll {
+		maps, _, err := match.Find(p, g, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range maps {
+			out = append(out, &algebra.MatchedGraph{P: p, G: g, M: m})
+		}
+	}
+	return out
+}
+
+// referenceResult evaluates storeQuery over coll without the engine: the
+// reference selection, then the return template once per binding, rendered
+// like renderResult (the program defines no variables).
+func referenceResult(t testing.TB, coll graph.Collection) string {
+	t.Helper()
+	tmpl, err := mustParse(t, storeQuery).Stmts[1].(*ast.FLWRStmt).Return.ToTemplate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := abPattern(t)
+	s := ""
+	for _, m := range referenceSelection(t, p, coll, match.Options{Exhaustive: true}) {
+		g, err := tmpl.Instantiate(map[string]algebra.Operand{p.Name: algebra.MatchedOperand(m)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s += g.String() + "\n"
+	}
+	return s
+}
+
 // TestCoordinatorMatchesSerialSelection: the coordinator's fan-out/merge
-// over every shard count reproduces the serial unsharded selection exactly —
-// same graphs in the same order with the same bindings.
+// over every shard count reproduces the reference selection exactly — same
+// graphs in the same order with the same bindings.
 func TestCoordinatorMatchesSerialSelection(t *testing.T) {
 	coll := randomCollection(80, 5)
 	p := abPattern(t)
 	opt := match.Options{Exhaustive: true}
-	want, err := algebra.Selection(p, coll, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceSelection(t, p, coll, opt)
 	if len(want) == 0 {
-		t.Fatal("degenerate test: serial selection found nothing")
+		t.Fatal("degenerate test: reference selection found nothing")
 	}
 	for _, shards := range []int{1, 4, 17} {
 		for _, indexLen := range []int{0, 2} {
@@ -181,8 +217,13 @@ func TestCoordinatorMatchesSerialSelection(t *testing.T) {
 						t.Fatalf("shards=%d ix=%d workers=%d: match %d binding differs", shards, indexLen, workers, i)
 					}
 				}
-				if len(stats.Ops) != 1 || stats.Ops[0].Op != "sharded-selection" {
-					t.Fatalf("shards=%d: expected one sharded-selection OpStat, got %v", shards, stats.Ops)
+				// One local shard is a plain selection; more fan out.
+				wantOp := "sharded-selection"
+				if shards == 1 {
+					wantOp = "selection"
+				}
+				if len(stats.Ops) != 1 || stats.Ops[0].Op != wantOp {
+					t.Fatalf("shards=%d: expected one %s OpStat, got %v", shards, wantOp, stats.Ops)
 				}
 			}
 		}
@@ -190,22 +231,16 @@ func TestCoordinatorMatchesSerialSelection(t *testing.T) {
 }
 
 // TestEngineShardedByteIdentical: full programs over sharded stores produce
-// byte-identical output to the unsharded serial engine for shards ∈
-// {1, 4, 17} and workers ∈ {1, N} — the PR's acceptance grid.
+// byte-identical output to the engine-free reference for shards ∈
+// {1, 4, 17}, workers ∈ {1, 16, N} and index ∈ {off, on} — the acceptance
+// grid.
 func TestEngineShardedByteIdentical(t *testing.T) {
 	coll := randomCollection(90, 11)
-	prog, err := parser.Parse(storeQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := exec.New(exec.Store{"db": coll}).Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oracle.Out) == 0 {
+	prog := mustParse(t, storeQuery)
+	want := referenceResult(t, coll)
+	if want == "" {
 		t.Fatal("degenerate test: no results")
 	}
-	want := renderResult(oracle)
 	for _, shards := range []int{1, 4, 17} {
 		for _, indexLen := range []int{0, 2} {
 			s := store.New(store.Options{Shards: shards, IndexMaxLen: indexLen})
@@ -218,7 +253,7 @@ func TestEngineShardedByteIdentical(t *testing.T) {
 					t.Fatalf("shards=%d ix=%d workers=%d: %v", shards, indexLen, workers, err)
 				}
 				if got := renderResult(res); got != want {
-					t.Fatalf("shards=%d ix=%d workers=%d: output differs from unsharded serial engine", shards, indexLen, workers)
+					t.Fatalf("shards=%d ix=%d workers=%d: output differs from the reference", shards, indexLen, workers)
 				}
 			}
 		}
@@ -303,7 +338,7 @@ func TestCacheNeverStale(t *testing.T) {
 	// Mutation: the very next query must miss and see the new collection.
 	collB := randomCollection(40, 99)
 	s.RegisterDoc("db", collB)
-	oracle, err := exec.New(exec.Store{"db": collB}).Run(mustParse(t, storeQuery))
+	oracle, err := exec.NewOver(store.FromMap(map[string]graph.Collection{"db": collB})).Run(mustParse(t, storeQuery))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestConcurrentRegisterVsQueries(t *testing.T) {
 // coll, providing the oracle rendering for one store state.
 func mustRun(t testing.TB, coll graph.Collection) *exec.Result {
 	t.Helper()
-	res, err := exec.New(exec.Store{"db": coll}).RunContext(context.Background(), mustParse(t, storeQuery))
+	res, err := exec.NewOver(store.FromMap(map[string]graph.Collection{"db": coll})).RunContext(context.Background(), mustParse(t, storeQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestShardFanoutWorkerEdges(t *testing.T) {
 	coll := randomCollection(60, 13)
 	s := store.New(store.Options{Shards: 17})
 	s.RegisterDoc("db", coll)
-	oracle, err := exec.New(exec.Store{"db": coll}).RunContext(context.Background(), mustParse(t, storeQuery))
+	oracle, err := exec.NewOver(store.FromMap(map[string]graph.Collection{"db": coll})).RunContext(context.Background(), mustParse(t, storeQuery))
 	if err != nil {
 		t.Fatal(err)
 	}

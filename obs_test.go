@@ -17,7 +17,7 @@ return graph { node P.v1; node P.v2; edge (P.v1, P.v2); };`
 func TestTracingResultsByteIdentical(t *testing.T) {
 	store := Store{"db": ctxTestCollection(t)}
 	for _, workers := range []int{1, 4, 0} {
-		plain, err := RunContext(context.Background(), obsQuerySrc, store, workers)
+		plain, err := Query(context.Background(), obsQuerySrc, QueryOptions{Docs: store, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,7 +25,7 @@ func TestTracingResultsByteIdentical(t *testing.T) {
 			t.Fatal("untraced run carries a trace")
 		}
 		ctx, root := StartTrace(context.Background(), "query")
-		traced, err := RunContext(ctx, obsQuerySrc, store, workers)
+		traced, err := Query(ctx, obsQuerySrc, QueryOptions{Docs: store, Workers: workers})
 		root.End()
 		if err != nil {
 			t.Fatal(err)
@@ -49,7 +49,7 @@ func TestTracingResultsByteIdentical(t *testing.T) {
 func TestFacadeTraceRender(t *testing.T) {
 	store := Store{"db": ctxTestCollection(t)}
 	ctx, root := StartTrace(context.Background(), "query")
-	if _, err := RunContext(ctx, obsQuerySrc, store, 2); err != nil {
+	if _, err := Query(ctx, obsQuerySrc, QueryOptions{Docs: store, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -64,7 +64,7 @@ func TestFacadeTraceRender(t *testing.T) {
 // TestWriteMetricsFacade: the metrics dump reflects executed queries.
 func TestWriteMetricsFacade(t *testing.T) {
 	store := Store{"db": ctxTestCollection(t)}
-	if _, err := RunContext(context.Background(), obsQuerySrc, store, 1); err != nil {
+	if _, err := Query(context.Background(), obsQuerySrc, QueryOptions{Docs: store, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
