@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc test test-server test-cluster test-walcrash race vet gqlvet fuzz-smoke bench-obs bench-store bench-vet bench-match bench-check check
+.PHONY: all build loc test test-server test-cluster test-walcrash race vet gqlvet fuzz-smoke check
 
 all: check
 
@@ -77,54 +77,6 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run 'FuzzServerQuery$$' -fuzz 'FuzzServerQuery$$' -fuzztime 10s
 	$(GO) test ./internal/server -run 'FuzzServerQueryV2$$' -fuzz 'FuzzServerQueryV2$$' -fuzztime 10s
 	$(GO) test ./internal/store -run FuzzShardWire -fuzz FuzzShardWire -fuzztime 10s
-
-## bench-obs: tracing-overhead guard — the off variant must stay within
-## noise of BenchmarkParallelExec (observability disabled is one context
-## lookup per operator); the run is recorded in BENCH_obs.json (commit
-## the refreshed file to keep the trajectory in git history)
-bench-obs:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracingOverhead|BenchmarkParallelExec' -benchtime 1x -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_obs.json
-
-## bench-store: storage-layer guard — compiles and runs the sharded
-## fan-out, result-cache and write-path benchmarks (cache hits must be
-## cheaper than re-evaluation; incremental Apply and index maintenance
-## must beat the full rebuilds they replace); recorded in
-## BENCH_store.json. The benchtime matches bench-check so the recorded
-## baseline and the gate measure under the same conditions.
-bench-store:
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedSelection|BenchmarkCacheHit|BenchmarkApplyMutations|BenchmarkIncrementalIndex' -benchtime 100ms -count 5 -benchmem ./internal/store \
-		| $(GO) run ./cmd/benchjson -o BENCH_store.json
-
-## bench-match: match hot-path guard — the plan-cache-hot run must beat
-## the uncached baseline on time and allocations (the cold run pays the
-## Put), and the compiled predicate must beat the tree-walking
-## evaluator; recorded in BENCH_match.json. The benchtime matches
-## bench-check so baseline and gate measure under the same conditions.
-bench-match:
-	$(GO) test -run '^$$' -bench 'BenchmarkMatchPlanned|BenchmarkCompiledPredicate' -benchtime 100ms -count 5 -benchmem ./internal/match ./internal/expr \
-		| $(GO) run ./cmd/benchjson -o BENCH_match.json
-
-## bench-vet: analyzer-suite latency — one full gqlvet pass (parse,
-## type-check, all eight analyzers) over the driver's fixture module;
-## recorded in BENCH_vet.json
-bench-vet:
-	$(GO) test -run '^$$' -bench 'BenchmarkVet' -benchtime 1x -benchmem ./cmd/gqlvet \
-		| $(GO) run ./cmd/benchjson -o BENCH_vet.json
-
-## bench-check: regression gate — re-run the store and match bench suites
-## and compare ns/op against the last committed trajectory entry in the
-## BENCH_*.json files; any >25% slowdown on a tracked benchmark fails the
-## target (the files are not rewritten; refresh them with the bench-*
-## targets). The time-based benchtime amortizes per-iteration scheduler
-## noise and -count 5 gives benchjson best-of-N samples to collapse, so a
-## single preempted run cannot fake a regression; the whole-query obs
-## suite stays out of the gate for the same reason.
-bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedSelection|BenchmarkCacheHit|BenchmarkApplyMutations|BenchmarkIncrementalIndex' -benchtime 100ms -count 5 -benchmem ./internal/store \
-		| $(GO) run ./cmd/benchjson -check BENCH_store.json
-	$(GO) test -run '^$$' -bench 'BenchmarkMatchPlanned|BenchmarkCompiledPredicate' -benchtime 100ms -count 5 -benchmem ./internal/match ./internal/expr \
-		| $(GO) run ./cmd/benchjson -check BENCH_match.json
 
 ## check: everything CI runs
 check: build vet gqlvet test test-server test-cluster test-walcrash race fuzz-smoke

@@ -10,9 +10,9 @@
 //	benchfig -fig 4.23b -csv          # CSV output
 //
 // Figures: 4.20a 4.20b 4.21a 4.21b 4.22a 4.22b 4.23a 4.23b, plus
-// "parallel-speedup" (worker-pool scaling of the bulk operators),
-// "sharded-speedup" (storage-layer shard fan-out vs the serial scan) and
-// "ablations" (search-order planner and refinement-level studies).
+// "ablations" (ablation-order, ablation-refine, ablation-radius and
+// ablation-adjacency: search-order planner, refinement level, profile
+// radius and candidate iteration studies).
 package main
 
 import (
@@ -63,8 +63,6 @@ func main() {
 		{"4.22b", r.Fig422b},
 		{"4.23a", r.Fig423a},
 		{"4.23b", r.Fig423b},
-		{"parallel-speedup", r.ParallelSpeedup},
-		{"sharded-speedup", r.ShardedSpeedup},
 		{"ablation-order", r.AblationOrder},
 		{"ablation-refine", r.AblationRefineLevel},
 		{"ablation-radius", r.AblationRadius},

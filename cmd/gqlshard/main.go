@@ -6,8 +6,7 @@
 // Usage:
 //
 //	gqlshard -addr :7301 -shards 3 [-doc name=file.tsv ...] \
-//	    [-index-paths L] [-workers N] [-max-body BYTES] [-plan-cache N] \
-//	    [-grace 10s]
+//	    [-index-paths L] [-workers N] [-max-body BYTES] [-grace 10s]
 //
 // -shards MUST match the frontend's shard count: both sides hash-partition
 // each document identically, and a request whose partition width disagrees
@@ -51,7 +50,6 @@ func main() {
 	indexLen := flag.Int("index-paths", 0, "per-shard path-feature index max length (0 disables)")
 	workers := flag.Int("workers", 0, "cap on shard-local match fan-out (0 = GOMAXPROCS)")
 	maxBody := flag.Int64("max-body", 64<<20, "request body cap in bytes (select jobs and sync pushes)")
-	planCache := flag.Int("plan-cache", 0, "search-plan cache capacity in entries (0 = default)")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight jobs")
 	flag.Parse()
 
@@ -60,7 +58,6 @@ func main() {
 		IndexMaxLen: *indexLen,
 		MaxBody:     *maxBody,
 		Workers:     *workers,
-		PlanCap:     *planCache,
 	})
 	err := srv.Bootstrap(store.BootstrapFiles(docs, func(format string, args ...any) {
 		log.Printf("gqlshard: "+format, args...)

@@ -139,8 +139,7 @@ func TestRunUsageErrors(t *testing.T) {
 }
 
 // BenchmarkVet measures a full driver pass — parse, type-check, all eight
-// analyzers — over the dirty fixture module. Tracked in BENCH_vet.json via
-// make bench-vet.
+// analyzers — over the dirty fixture module.
 func BenchmarkVet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

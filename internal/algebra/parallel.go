@@ -45,8 +45,7 @@ func sumInts(xs []int) int64 {
 //   - On error the operator returns the same error the serial evaluation
 //     would have hit first (the pool's lowest-index error guarantee).
 //   - stats may be nil; when set, one match.OpStat with the operator name,
-//     item count, resolved worker count and wall time is appended — the §5
-//     harness plots parallel speedup from these records.
+//     item count, resolved worker count and wall time is appended.
 
 // Ordinals returns 0..n-1 — the candidate list of an unfiltered selection.
 func Ordinals(n int) []int32 {

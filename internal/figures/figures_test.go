@@ -227,23 +227,3 @@ func TestAblationAdjacency(t *testing.T) {
 		parseMs(t, row[2])
 	}
 }
-
-func TestParallelSpeedup(t *testing.T) {
-	// Speedup numbers depend on the host, so the test only asserts
-	// soundness: four rows (1, 2, 4, GOMAXPROCS workers), every cell
-	// parses, and the serial row's speedup is exactly 1.00x.
-	tb, err := quickRunner.ParallelSpeedup()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 4 {
-		t.Fatalf("parallel speedup: %d rows, want 4", len(tb.Rows))
-	}
-	for i, row := range tb.Rows {
-		parseMs(t, row[1])
-		parseMs(t, row[3])
-		if i == 0 && (row[2] != "1.00x" || row[4] != "1.00x") {
-			t.Fatalf("serial row speedups = %s/%s, want 1.00x", row[2], row[4])
-		}
-	}
-}

@@ -152,14 +152,14 @@ type Stats struct {
 	CancelChecks int64
 	// Ops collects per-operator timing and fan-out records appended by the
 	// bulk algebra layer (parallel selection, product, join, compose and
-	// the exec pipeline); the §5 harness plots parallel speedup from these.
+	// the exec pipeline); /explain and gqlshell EXPLAIN print them as the
+	// per-operator table.
 	Ops []OpStat
 }
 
 // OpStat is one bulk-operator execution record: which operator ran, how
 // many work items it fanned out over, on how many workers, and its wall
-// time. Comparing Wall across Workers values yields the parallel-speedup
-// curves of the evaluation harness.
+// time.
 type OpStat struct {
 	Op      string
 	Items   int

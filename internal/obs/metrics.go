@@ -183,9 +183,11 @@ var (
 	// CacheEvictions counts entries dropped by the cache's LRU capacity
 	// bound.
 	CacheEvictions = newCounter("gqldb_cache_evictions_total", "query result cache capacity evictions")
-	// CacheInvalidations counts whole-cache purges triggered by a store
-	// version bump.
-	CacheInvalidations = newCounter("gqldb_cache_invalidations_total", "query result cache purges on store version bump")
+	// CacheInvalidations counts per-document purges: a lookup at a newer
+	// version of a document drops every entry that read it at an older one
+	// (one count per purge that removed anything; other documents' entries
+	// stay).
+	CacheInvalidations = newCounter("gqldb_cache_invalidations_total", "query result cache purges of entries that read an older version of a document")
 	// PlanCacheHits counts selections whose §4.4 search plan (feasible
 	// mates and search order) was served from the plan cache.
 	PlanCacheHits = newCounter("gqldb_plan_cache_hits_total", "match plan cache hits")
@@ -195,9 +197,9 @@ var (
 	// PlanCacheEvictions counts plans dropped by the plan cache's LRU
 	// capacity bound.
 	PlanCacheEvictions = newCounter("gqldb_plan_cache_evictions_total", "match plan cache capacity evictions")
-	// PlanCacheInvalidations counts whole-plan-cache purges triggered by a
-	// statistics epoch bump (store version).
-	PlanCacheInvalidations = newCounter("gqldb_plan_cache_invalidations_total", "match plan cache purges on epoch bump")
+	// PlanCacheInvalidations counts plan-cache entries dropped one at a time
+	// by a lookup at a newer version of the entry's document.
+	PlanCacheInvalidations = newCounter("gqldb_plan_cache_invalidations_total", "match plan cache entries dropped by a lookup at a newer document version")
 	// PoolRuns counts bulk-operator executions on the worker pool.
 	PoolRuns = newCounter("gqldb_pool_runs_total", "bulk operator executions on the worker pool")
 	// PoolTasks counts individual work items fanned out on the pool.

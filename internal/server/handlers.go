@@ -122,19 +122,30 @@ func writeError(w *statusWriter, status int, code, msg string) {
 	writeJSON(w, status, errorResponse{Error: errorBody{Code: code, Message: msg}})
 }
 
+// readBody reads the body under the MaxBody cap. On failure it has
+// already answered: 413 body_too_large past the cap, 400 bad_request for
+// any other read error.
+func (s *Server) readBody(w *statusWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	if err == nil {
+		return body, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, "bad_request", "reading request body: "+err.Error())
+	}
+	return nil, false
+}
+
 // readRequest reads the capped body and decodes the envelope: a JSON
 // content type gets the full envelope, anything else is a raw program.
 func (s *Server) readRequest(w *statusWriter, r *http.Request) (queryRequest, bool) {
 	var req queryRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, "bad_request", "reading request body: "+err.Error())
-		}
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return req, false
 	}
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
@@ -359,13 +370,12 @@ func (s *Server) handleAdminDoc(w *statusWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "missing name parameter")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-			fmt.Sprintf("document body over the %d byte cap", s.cfg.MaxBody))
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	var coll graph.Collection
+	var err error
 	if r.Header.Get("Content-Type") == "application/octet-stream" {
 		coll, err = graph.ReadBinary(bytes.NewReader(body))
 		if err != nil {

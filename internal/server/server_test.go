@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -188,6 +189,41 @@ func TestQueryErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /query status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// failingBody is a request body whose read fails, as when a client drops
+// the connection mid-upload.
+type failingBody struct{}
+
+func (failingBody) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
+
+// TestRequestBodyReadErrors: every endpoint that reads a body answers a
+// body past the cap with 413 body_too_large and any other read failure
+// with 400 bad_request (/admin/doc used to answer 413 for both).
+func TestRequestBodyReadErrors(t *testing.T) {
+	s, _ := newTestServer(t, func(c *Config) { c.MaxBody = 256; c.Admin = true })
+	for _, path := range []string{"/query", "/v2/batch", "/admin/doc?name=D"} {
+		cases := []struct {
+			body   io.Reader
+			status int
+			code   string
+		}{
+			{failingBody{}, 400, "bad_request"},
+			{strings.NewReader(strings.Repeat("x", 300)), 413, "body_too_large"},
+		}
+		for _, tc := range cases {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, tc.body))
+			var e errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("%s: response %q is not JSON: %v", path, rec.Body, err)
+			}
+			if rec.Code != tc.status || e.Error.Code != tc.code {
+				t.Errorf("%s: status %d code %q, want %d %q (%s)",
+					path, rec.Code, e.Error.Code, tc.status, tc.code, e.Error.Message)
+			}
+		}
 	}
 }
 

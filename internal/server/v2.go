@@ -17,9 +17,7 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -253,15 +251,8 @@ func (s *Server) handleBatchV2(w *statusWriter, r *http.Request) {
 	}
 	defer release()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, "bad_request", "reading request body: "+err.Error())
-		}
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	var breq batchRequest

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"gqldb/internal/graph"
-	"gqldb/internal/match"
 	"gqldb/internal/obs"
 	"gqldb/internal/store"
 )
@@ -54,16 +53,12 @@ type Config struct {
 	// Workers caps the shard-local match fan-out regardless of what the
 	// request asks for. Default GOMAXPROCS.
 	Workers int
-	// PlanCap bounds the local plan cache (entries); 0 uses the cache's
-	// default.
-	PlanCap int
 }
 
 // Server is the shard server: an http.Handler plus the drain machinery.
 type Server struct {
 	cfg   Config
 	store *store.DocStore
-	plans *match.PlanCache
 	mux   *http.ServeMux
 
 	draining atomic.Bool
@@ -85,7 +80,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		store: store.New(store.Options{Shards: cfg.Shards, IndexMaxLen: cfg.IndexMaxLen}),
-		plans: match.NewPlanCache(cfg.PlanCap),
 		mux:   http.NewServeMux(),
 	}
 	s.mux.HandleFunc("POST /shard/select", s.handleSelect)
@@ -196,11 +190,6 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		errFrame(w, store.WireCodeBadRequest, err.Error(), 0, "")
 		return
 	}
-	// The mirror fences its own plan cache on its own copy's document
-	// version; the frontend's epoch does not travel, and mutations to other
-	// documents leave this document's plans live.
-	opt.Plans = s.plans
-	opt.PlanEpoch = d.Version()
 	workers := req.Workers
 	if workers < 1 {
 		workers = 1

@@ -11,8 +11,9 @@ import (
 
 // TestBootstrapVersionsDeterministic: two mirrors bootstrapped from the same
 // -doc bindings agree on the store version and on every document's version
-// (the mirror's plan-cache epoch), whatever order the binding map iterates
-// in. Registering in map order made them differ from run to run.
+// (what the stale/unknown_doc frames report), whatever order the binding
+// map iterates in. Registering in map order made them differ from run to
+// run.
 func TestBootstrapVersionsDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	docs := store.DocFlags{}

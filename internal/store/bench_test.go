@@ -15,9 +15,10 @@ import (
 )
 
 // BenchmarkShardedSelection compares the coordinator fan-out against the
-// serial unsharded scan it must stay byte-identical to. Run via
-// `make bench-store`; the sharded/workers=N variants should beat serial on
-// multi-core machines (the merge is O(matches), so the fan-out dominates).
+// serial unsharded scan it must stay byte-identical to; the sharded/workers=N
+// variants should beat serial on multi-core machines (the merge is
+// O(matches), so the fan-out dominates). End to end, bench/'s
+// store.shard_overhead_ratio tracks the same comparison.
 func BenchmarkShardedSelection(b *testing.B) {
 	coll := randomCollection(400, 9)
 	p := abPattern(b)

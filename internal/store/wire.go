@@ -252,8 +252,8 @@ func (w WirePattern) Pattern() (*pattern.Pattern, error) {
 }
 
 // WireOptions is the serializable subset of match.Options. Plans and
-// PlanEpoch stay process-local (each shard server fences its own plan
-// cache on its own store version); CollectStats is irrelevant shard-side
+// PlanEpoch are process-local and do not travel (a shard server plans
+// every job afresh); CollectStats is irrelevant shard-side
 // (the per-shard stats the coordinator aggregates travel in the done
 // frame's candidate count).
 type WireOptions struct {
@@ -283,8 +283,7 @@ func EncodeOptions(o match.Options) WireOptions {
 	}
 }
 
-// Options rebuilds match options (Plans/PlanEpoch left zero for the shard
-// server to fill from its own cache).
+// Options rebuilds match options (Plans/PlanEpoch left zero).
 func (w WireOptions) Options() (match.Options, error) {
 	if w.Prune > uint8(match.PruneSubgraph) {
 		return match.Options{}, wireErrf("unknown prune mode %d", w.Prune)
