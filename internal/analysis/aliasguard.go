@@ -26,11 +26,6 @@ var aliasReturns = map[string]bool{
 	// over the same (pattern shape, graph, options): the feasible-mate
 	// lists and order are shared, searchers copy what they mutate.
 	"internal/match.PlanCache.Get": true,
-	// ShardResult.Group returns one merged member list by reference; the
-	// coordinator streams the same backing slice to the consumer, and a
-	// remote result additionally aliases mappings rebound over the shard's
-	// canonical graphs. Consumers render or clone, never write.
-	"internal/store.ShardResult.Group": true,
 }
 
 // AliasGuard flags mutations of values obtained from the registered

@@ -1,7 +1,7 @@
 // Package analysis is gqldb's project-specific static-analysis suite: a
 // small, stdlib-only (go/parser + go/ast + go/types) analyzer framework and
-// five analyzers that mechanize the review rules the hot paths of the
-// Algorithm 4.1 implementation depend on:
+// eight analyzers that mechanize the review rules the query engine, the
+// store and the server depend on:
 //
 //   - panicfree: no panic/log.Fatal in hot-path packages (explicit allowlist
 //     for constructor-time panics in graph)
@@ -11,8 +11,18 @@
 //     or write captured variables without index partitioning
 //   - errwrap: exported internal functions returning error must package-
 //     prefix their messages or wrap with %w
-//   - recbound: recursive functions in match/motif/reach must carry a
-//     depth/budget parameter or check a cancellation/limit flag
+//   - recbound: every recursive call in match/motif/reach must decrement a
+//     depth/budget argument or sit behind a dominating limit/cancellation
+//     check
+//   - ctxpoll: unbounded loops in match/algebra/pool/store must poll
+//     cancellation on a path that runs every iteration
+//   - detmerge: no map-order, wall-clock or global-rand nondeterminism in
+//     merge and result paths
+//   - aliasguard: values returned by the store's shared-by-reference
+//     accessors must not be mutated
+//
+// Control-flow questions (dominance) go through dataflow.go's CFG; value
+// provenance through its flow-insensitive taint closure.
 //
 // The driver lives in cmd/gqlvet.
 package analysis

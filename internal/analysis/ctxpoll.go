@@ -38,9 +38,10 @@ var ctxPollFuncs = map[string]bool{
 // structurally, never by name:
 //
 //   - ctx.Err() on a context.Context value
-//   - a receive (direct or in a select) from ctx.Done(), from a channel of
-//     type chan struct{} / <-chan struct{}, or from a variable whose
-//     reaching definitions include a ctx.Done() call
+//   - a receive (direct or in a select) from ctx.Done() or from any operand
+//     whose underlying type is chan struct{} / <-chan struct{} — which
+//     covers every variable or named type holding a ctx.Done() result,
+//     since Done returns <-chan struct{}
 //   - a call to a registered poll helper (ctxPollFuncs)
 //   - delegation: passing a context.Context to a callee, which then owns
 //     the polling obligation
@@ -57,45 +58,18 @@ func runCtxPoll(pass *Pass) {
 	if !pathHasAnySuffix(pass.Path, ctxPollPkgs) {
 		return
 	}
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				decls[obj] = fd
-			}
-		}
-	}
-	calls := map[*types.Func][]*types.Func{}
-	for caller, fd := range decls {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if callee, ok := pass.Info.Uses[id].(*types.Func); ok {
-					if _, isLocal := decls[callee]; isLocal {
-						calls[caller] = append(calls[caller], callee)
-					}
-				}
-			}
-			return true
-		})
-	}
-	onCycle := func(fn *types.Func) bool {
-		return reaches(calls, fn, fn, map[*types.Func]bool{})
-	}
+	g := newCallGraph(pass)
 	for _, file := range pass.Files {
 		for _, u := range funcUnits(file) {
 			if isTestFile(pass, u.Body) {
 				continue
 			}
-			checkUnitLoops(pass, u, decls, onCycle)
+			checkUnitLoops(pass, u, g)
 		}
 	}
 }
 
-func checkUnitLoops(pass *Pass, u funcUnit, decls map[*types.Func]*ast.FuncDecl, onCycle func(*types.Func) bool) {
+func checkUnitLoops(pass *Pass, u funcUnit, g *callGraph) {
 	cfg := NewCFG(u.Body)
 	polls := collectPolls(pass, cfg, u)
 	walkUnit(u, func(n ast.Node) bool {
@@ -112,7 +86,7 @@ func checkUnitLoops(pass *Pass, u funcUnit, decls map[*types.Func]*ast.FuncDecl,
 		if loop == nil {
 			return true
 		}
-		if !unboundedShape(pass, loopStmt, u, decls, onCycle) {
+		if !unboundedShape(pass, loopStmt, g) {
 			return true
 		}
 		for _, blk := range polls {
@@ -141,7 +115,7 @@ func walkUnit(u funcUnit, fn func(ast.Node) bool) {
 // unboundedShape reports whether the loop can iterate an unbounded number
 // of times: `for {}`, while-style `for cond {}`, or a body that reenters
 // local recursion.
-func unboundedShape(pass *Pass, loopStmt ast.Stmt, u funcUnit, decls map[*types.Func]*ast.FuncDecl, onCycle func(*types.Func) bool) bool {
+func unboundedShape(pass *Pass, loopStmt ast.Stmt, g *callGraph) bool {
 	if fs, ok := loopStmt.(*ast.ForStmt); ok {
 		if fs.Cond == nil {
 			return true
@@ -169,11 +143,7 @@ func unboundedShape(pass *Pass, loopStmt ast.Stmt, u funcUnit, decls map[*types.
 		if !ok {
 			return true
 		}
-		callee := calleeOf(pass, call)
-		if callee == nil {
-			return true
-		}
-		if _, isLocal := decls[callee]; isLocal && onCycle(callee) {
+		if callee := calleeOf(pass, call); g.local(callee) && g.reaches(callee, callee) {
 			carrying = true
 		}
 		return true
@@ -185,20 +155,6 @@ func unboundedShape(pass *Pass, loopStmt ast.Stmt, u funcUnit, decls map[*types.
 // unit. Polls inside defer bodies don't count — deferred code runs at
 // function exit, not per iteration.
 func collectPolls(pass *Pass, cfg *CFG, u funcUnit) []*Block {
-	var rd *RD // built lazily: only needed for channel-provenance checks
-	reachesDone := func(id *ast.Ident) bool {
-		if rd == nil {
-			rd = NewRD(cfg, pass.Info, paramsOf(pass, u))
-		}
-		for _, def := range rd.DefsReaching(id) {
-			if call, ok := ast.Unparen(def.Rhs).(*ast.CallExpr); ok {
-				if methodKeyOf(calleeOf(pass, call)) == "context.Context.Done" {
-					return true
-				}
-			}
-		}
-		return false
-	}
 	isPollRecv := func(x ast.Expr) bool {
 		x = ast.Unparen(x)
 		if call, ok := x.(*ast.CallExpr); ok {
@@ -210,9 +166,6 @@ func collectPolls(pass *Pass, cfg *CFG, u funcUnit) []*Block {
 					return true
 				}
 			}
-		}
-		if id, ok := x.(*ast.Ident); ok {
-			return reachesDone(id)
 		}
 		return false
 	}

@@ -6,11 +6,13 @@ import (
 	"go/types"
 )
 
-// dataflow.go: the intra-function dataflow layer the condition-sensitive
-// analyzers (recbound, ctxpoll, detmerge, aliasguard) build on. It turns
-// one function body into basic blocks connected by control edges, computes
-// dominators over them, and runs reaching definitions at statement
-// granularity. The model is deliberately small:
+// dataflow.go: the intra-function dataflow layer. Two analyzers need
+// control flow — recbound (a bound check dominating each recursive call)
+// and ctxpoll (a poll dominating each loop latch) — so this file turns one
+// function body into basic blocks connected by control edges and computes
+// dominators over them. detmerge and aliasguard need only the
+// flow-insensitive taint closure at the bottom. The CFG model is
+// deliberately small:
 //
 //   - FuncLit bodies are excluded — a literal is its own funcUnit with its
 //     own CFG, because its body runs on its own control paths (often on
@@ -18,29 +20,14 @@ import (
 //   - panic and os.Exit fall through like ordinary calls. That
 //     over-approximates the path set, which only makes dominance harder to
 //     establish — the conservative direction for every current client.
-//   - goto adds an edge to the synthetic exit block and marks the CFG
-//     imprecise; none of the analyzers weaken their verdicts on it today,
-//     and the tree has no gotos.
-
-// CondKind says which control position a condition expression occupies.
-type CondKind int
-
-const (
-	CondIf CondKind = iota
-	CondFor
-	CondRange
-	CondSwitchTag
-	CondCase
-	CondSelectComm
-)
+//   - goto adds an edge to the synthetic exit block; the tree has no gotos.
 
 // Cond is one condition evaluated at the end of a block: the guarding
 // expression of a branch, the tag or case list of a switch, the operand of
 // a range, or the communication of a select clause (Expr nil, Comm set).
 type Cond struct {
-	Kind CondKind
-	Expr ast.Expr // nil for CondSelectComm
-	Comm ast.Stmt // the select communication statement, CondSelectComm only
+	Expr ast.Expr // nil for a select clause
+	Comm ast.Stmt // the select communication statement, select clauses only
 }
 
 // Block is one basic block: simple statements in execution order, then the
@@ -60,9 +47,7 @@ type Block struct {
 // condition land. A statement that must run every iteration is exactly a
 // statement whose block dominates Latch.
 type Loop struct {
-	Stmt  ast.Stmt
 	Head  *Block
-	Body  *Block
 	Latch *Block
 	Exit  *Block
 }
@@ -72,9 +57,6 @@ type CFG struct {
 	Entry  *Block
 	Exit   *Block
 	Blocks []*Block
-	// Imprecise is set when the body contains a construct the builder
-	// models conservatively (goto).
-	Imprecise bool
 
 	loops     map[ast.Stmt]*Loop
 	nodeBlock map[ast.Node]*Block
@@ -289,7 +271,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.current().Stmts = append(b.current().Stmts, s.Init)
 		}
 		cond := b.current()
-		cond.Conds = append(cond.Conds, Cond{Kind: CondIf, Expr: s.Cond})
+		cond.Conds = append(cond.Conds, Cond{Expr: s.Cond})
 		b.cfg.nodeBlock[s] = cond
 		then := b.newBlock()
 		b.edge(cond, then)
@@ -327,7 +309,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		head := b.newBlock()
 		b.edge(b.current(), head)
 		if s.Cond != nil {
-			head.Conds = append(head.Conds, Cond{Kind: CondFor, Expr: s.Cond})
+			head.Conds = append(head.Conds, Cond{Expr: s.Cond})
 		}
 		body := b.newBlock()
 		latch := b.newBlock()
@@ -341,7 +323,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		b.edge(latch, head)
 		b.cfg.nodeBlock[s] = head
-		b.cfg.loops[s] = &Loop{Stmt: s, Head: head, Body: body, Latch: latch, Exit: exit}
+		b.cfg.loops[s] = &Loop{Head: head, Latch: latch, Exit: exit}
 		b.pushLoop(label, exit, latch)
 		b.cur = body
 		b.stmtList(s.Body.List)
@@ -356,7 +338,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.pendingLabel = ""
 		head := b.newBlock()
 		b.edge(b.current(), head)
-		head.Conds = append(head.Conds, Cond{Kind: CondRange, Expr: s.X})
+		head.Conds = append(head.Conds, Cond{Expr: s.X})
 		body := b.newBlock()
 		latch := b.newBlock()
 		exit := b.newBlock()
@@ -370,7 +352,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if s.Value != nil {
 			mapNodes(b.cfg.nodeBlock, s.Value, head)
 		}
-		b.cfg.loops[s] = &Loop{Stmt: s, Head: head, Body: body, Latch: latch, Exit: exit}
+		b.cfg.loops[s] = &Loop{Head: head, Latch: latch, Exit: exit}
 		b.pushLoop(label, exit, latch)
 		b.cur = body
 		b.stmtList(s.Body.List)
@@ -386,14 +368,10 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		head := b.current()
 		if s.Tag != nil {
-			head.Conds = append(head.Conds, Cond{Kind: CondSwitchTag, Expr: s.Tag})
+			head.Conds = append(head.Conds, Cond{Expr: s.Tag})
 		}
 		b.cfg.nodeBlock[s] = head
-		b.switchBody(head, s.Body.List, func(cc *ast.CaseClause, blk *Block) {
-			for _, e := range cc.List {
-				blk.Conds = append(blk.Conds, Cond{Kind: CondCase, Expr: e})
-			}
-		})
+		b.switchBody(head, s.Body.List)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
@@ -402,11 +380,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		head := b.current()
 		head.Stmts = append(head.Stmts, s.Assign)
 		b.cfg.nodeBlock[s] = head
-		b.switchBody(head, s.Body.List, func(cc *ast.CaseClause, blk *Block) {
-			for _, e := range cc.List {
-				blk.Conds = append(blk.Conds, Cond{Kind: CondCase, Expr: e})
-			}
-		})
+		b.switchBody(head, s.Body.List)
 
 	case *ast.SelectStmt:
 		head := b.current()
@@ -417,7 +391,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			cc := clause.(*ast.CommClause)
 			blk := b.newBlock()
 			b.edge(head, blk)
-			blk.Conds = append(blk.Conds, Cond{Kind: CondSelectComm, Comm: cc.Comm})
+			blk.Conds = append(blk.Conds, Cond{Comm: cc.Comm})
 			if cc.Comm != nil {
 				blk.Stmts = append(blk.Stmts, cc.Comm)
 			}
@@ -457,7 +431,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 				b.edge(cur, b.fallthroughTo)
 			}
 		case token.GOTO:
-			b.cfg.Imprecise = true
 			b.edge(cur, b.cfg.Exit)
 		}
 		b.cfg.nodeBlock[s] = cur
@@ -478,9 +451,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 // switchBody builds the per-case blocks of a switch or type switch. Every
 // case block is a successor of head (evaluation order among cases is not
-// modeled; head dominating all cases is what the clients need). addConds
-// attaches the clause's case expressions to its block.
-func (b *cfgBuilder) switchBody(head *Block, clauses []ast.Stmt, addConds func(*ast.CaseClause, *Block)) {
+// modeled; head dominating all cases is what the clients need). Each
+// clause's case expressions become the conditions of its block.
+func (b *cfgBuilder) switchBody(head *Block, clauses []ast.Stmt) {
 	join := b.newBlock()
 	b.breaks = append(b.breaks, join)
 	caseBlocks := make([]*Block, len(clauses))
@@ -489,7 +462,9 @@ func (b *cfgBuilder) switchBody(head *Block, clauses []ast.Stmt, addConds func(*
 		cc := clause.(*ast.CaseClause)
 		blk := b.newBlock()
 		b.edge(head, blk)
-		addConds(cc, blk)
+		for _, e := range cc.List {
+			blk.Conds = append(blk.Conds, Cond{Expr: e})
+		}
 		if len(cc.List) == 0 {
 			hasDefault = true
 		}
@@ -538,308 +513,6 @@ func (b *cfgBuilder) popLoop(label string) {
 	}
 }
 
-// ---- reaching definitions ----
-
-// Def is one definition of a local variable: an assignment, a short
-// declaration, a range binding, an inc/dec, or (Rhs nil, Entry true) the
-// variable entering the function as a parameter, receiver or named result.
-type Def struct {
-	Var *types.Var
-	// Rhs is the defining expression: the paired right-hand side for 1:1
-	// assignments, the whole multi-value expression for tuple assignments
-	// (Index says which result), the range operand for range bindings, nil
-	// for zero-value declarations and entry definitions.
-	Rhs   ast.Expr
-	Index int
-	// SelfRef marks definitions that read the previous value (x++, x += e):
-	// the old definitions still flow in.
-	SelfRef bool
-	Entry   bool
-	Range   bool
-	Stmt    ast.Stmt // defining statement; nil for entry and range defs
-}
-
-// RD is the reaching-definitions solution for one function unit, at
-// statement granularity: DefsReaching answers which definitions of a
-// variable may flow into a given use.
-type RD struct {
-	cfg  *CFG
-	info *types.Info
-
-	defs    []*Def
-	byVar   map[*types.Var][]int // def indices per variable
-	byStmt  map[ast.Stmt][]int   // def indices generated by a statement
-	headGen map[*Block][]int     // defs generated in a block's Conds (range bindings)
-	in      map[*Block]map[int]bool
-}
-
-// NewRD computes reaching definitions over the unit's CFG. params holds
-// the declared parameters/receiver/results (from the enclosing FuncDecl or
-// FuncLit type), which become entry definitions.
-func NewRD(cfg *CFG, info *types.Info, params []*types.Var) *RD {
-	r := &RD{
-		cfg:     cfg,
-		info:    info,
-		byVar:   map[*types.Var][]int{},
-		byStmt:  map[ast.Stmt][]int{},
-		headGen: map[*Block][]int{},
-		in:      map[*Block]map[int]bool{},
-	}
-	for _, p := range params {
-		r.addDef(&Def{Var: p, Entry: true})
-	}
-	r.collect()
-	r.solve()
-	return r
-}
-
-func (r *RD) addDef(d *Def) int {
-	idx := len(r.defs)
-	r.defs = append(r.defs, d)
-	r.byVar[d.Var] = append(r.byVar[d.Var], idx)
-	if d.Stmt != nil {
-		r.byStmt[d.Stmt] = append(r.byStmt[d.Stmt], idx)
-	}
-	return idx
-}
-
-// localVar resolves an identifier in definition position to its object.
-func (r *RD) localVar(id *ast.Ident) *types.Var {
-	if id.Name == "_" {
-		return nil
-	}
-	if v, ok := r.info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := r.info.Uses[id].(*types.Var); ok && !v.IsField() {
-		return v
-	}
-	return nil
-}
-
-// collect walks every block's statements and conditions recording defs.
-func (r *RD) collect() {
-	for _, blk := range r.cfg.Blocks {
-		for _, s := range blk.Stmts {
-			r.collectStmt(s)
-		}
-		for _, c := range blk.Conds {
-			if c.Kind != CondRange {
-				continue
-			}
-			// Range bindings regenerate in the head each iteration.
-			loop := r.rangeLoopOf(blk)
-			if loop == nil {
-				continue
-			}
-			rs := loop.Stmt.(*ast.RangeStmt)
-			for _, e := range []ast.Expr{rs.Key, rs.Value} {
-				if e == nil {
-					continue
-				}
-				if id, ok := e.(*ast.Ident); ok {
-					if v := r.localVar(id); v != nil {
-						idx := r.addDef(&Def{Var: v, Rhs: rs.X, Range: true})
-						r.headGen[blk] = append(r.headGen[blk], idx)
-					}
-				}
-			}
-		}
-	}
-}
-
-// rangeLoopOf finds the loop whose head is blk.
-func (r *RD) rangeLoopOf(blk *Block) *Loop {
-	for _, l := range r.cfg.loops {
-		if l.Head == blk {
-			return l
-		}
-	}
-	return nil
-}
-
-func (r *RD) collectStmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		compound := s.Tok != token.ASSIGN && s.Tok != token.DEFINE
-		for i, lhs := range s.Lhs {
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			v := r.localVar(id)
-			if v == nil {
-				continue
-			}
-			d := &Def{Var: v, Stmt: s, SelfRef: compound}
-			if len(s.Rhs) == len(s.Lhs) {
-				d.Rhs = s.Rhs[i]
-			} else if len(s.Rhs) == 1 {
-				d.Rhs = s.Rhs[0]
-				d.Index = i
-			}
-			r.addDef(d)
-		}
-	case *ast.IncDecStmt:
-		if id, ok := ast.Unparen(s.X).(*ast.Ident); ok {
-			if v := r.localVar(id); v != nil {
-				r.addDef(&Def{Var: v, Stmt: s, SelfRef: true})
-			}
-		}
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok {
-			return
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				v := r.localVar(name)
-				if v == nil {
-					continue
-				}
-				d := &Def{Var: v, Stmt: s}
-				if len(vs.Values) == len(vs.Names) {
-					d.Rhs = vs.Values[i]
-				} else if len(vs.Values) == 1 {
-					d.Rhs = vs.Values[0]
-					d.Index = i
-				}
-				r.addDef(d)
-			}
-		}
-	}
-}
-
-// gen/kill per block, then the standard worklist iteration.
-func (r *RD) solve() {
-	n := len(r.cfg.Blocks)
-	gen := make([]map[int]bool, n)
-	out := make([]map[int]bool, n)
-	for _, blk := range r.cfg.Blocks {
-		g := map[int]bool{}
-		for _, s := range blk.Stmts {
-			for _, idx := range r.byStmt[s] {
-				d := r.defs[idx]
-				if !d.SelfRef {
-					for _, other := range r.byVar[d.Var] {
-						delete(g, other)
-					}
-				}
-				g[idx] = true
-			}
-		}
-		for _, idx := range r.headGen[blk] {
-			g[idx] = true
-		}
-		gen[blk.Index] = g
-		out[blk.Index] = map[int]bool{}
-		r.in[blk] = map[int]bool{}
-	}
-	// Entry defs flow out of the entry block.
-	entryOut := out[r.cfg.Entry.Index]
-	for idx, d := range r.defs {
-		if d.Entry {
-			entryOut[idx] = true
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, blk := range r.cfg.Blocks {
-			in := r.in[blk]
-			for _, p := range blk.Preds {
-				for idx := range out[p.Index] {
-					if !in[idx] {
-						in[idx] = true
-						changed = true
-					}
-				}
-			}
-			o := out[blk.Index]
-			// out = gen ∪ (in − kill): a def survives unless the block
-			// unconditionally redefines its variable afterwards. Statement
-			// order inside the block is handled by transfer(); at block
-			// granularity we approximate kill by "block contains a
-			// non-self-ref def of the same var" only when that def is in gen.
-			for idx := range in {
-				killed := false
-				d := r.defs[idx]
-				if !gen[blk.Index][idx] {
-					for _, g := range r.byVar[d.Var] {
-						if gen[blk.Index][g] && !r.defs[g].SelfRef {
-							killed = true
-							break
-						}
-					}
-				}
-				if !killed && !o[idx] {
-					o[idx] = true
-					changed = true
-				}
-			}
-			for idx := range gen[blk.Index] {
-				if !o[idx] {
-					o[idx] = true
-					changed = true
-				}
-			}
-		}
-	}
-}
-
-// DefsReaching returns the definitions of the used identifier's variable
-// that may reach that use. The block's statements are replayed up to the
-// statement containing the use, so intra-block ordering is respected.
-func (r *RD) DefsReaching(use *ast.Ident) []*Def {
-	v, ok := r.info.Uses[use].(*types.Var)
-	if !ok {
-		if v, ok = r.info.Defs[use].(*types.Var); !ok || v == nil {
-			return nil
-		}
-	}
-	blk := r.cfg.BlockOf(use)
-	if blk == nil {
-		return nil
-	}
-	live := map[int]bool{}
-	for idx := range r.in[blk] {
-		if r.defs[idx].Var == v {
-			live[idx] = true
-		}
-	}
-	for _, idx := range r.headGen[blk] {
-		if r.defs[idx].Var == v {
-			live[idx] = true
-		}
-	}
-	for _, s := range blk.Stmts {
-		if containsNode(s, use) {
-			break
-		}
-		for _, idx := range r.byStmt[s] {
-			d := r.defs[idx]
-			if d.Var != v {
-				continue
-			}
-			if !d.SelfRef {
-				for old := range live {
-					delete(live, old)
-				}
-			}
-			live[idx] = true
-		}
-	}
-	var out []*Def
-	for idx := range live {
-		out = append(out, r.defs[idx])
-	}
-	return out
-}
-
 // containsNode reports whether target occurs under root (FuncLit interiors
 // excluded, mirroring the block node map).
 func containsNode(root, target ast.Node) bool {
@@ -858,33 +531,6 @@ func containsNode(root, target ast.Node) bool {
 		return true
 	})
 	return found
-}
-
-// paramsOf extracts the parameter/receiver/result variables of a unit for
-// NewRD's entry definitions.
-func paramsOf(pass *Pass, u funcUnit) []*types.Var {
-	var out []*types.Var
-	add := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if v, ok := pass.Info.Defs[name].(*types.Var); ok {
-					out = append(out, v)
-				}
-			}
-		}
-	}
-	if u.Decl != nil {
-		add(u.Decl.Recv)
-		add(u.Decl.Type.Params)
-		add(u.Decl.Type.Results)
-	} else if u.Lit != nil {
-		add(u.Lit.Type.Params)
-		add(u.Lit.Type.Results)
-	}
-	return out
 }
 
 // ---- taint closure ----

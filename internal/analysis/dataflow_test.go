@@ -10,7 +10,7 @@ import (
 )
 
 // parseUnit type-checks one source file and returns the pass plus the named
-// function's unit, CFG and entry params.
+// function's unit and CFG.
 func parseUnit(t *testing.T, src, fn string) (*Pass, funcUnit, *CFG) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -171,51 +171,6 @@ func TestSelectPollDominatesLatch(t *testing.T) {
 	}
 	if !cfg.Dominates(selB, loop.Latch) {
 		t.Error("select head at loop top must dominate the latch")
-	}
-}
-
-const rdSrc = `package unit
-
-func mk() chan struct{} { return nil }
-func other() chan struct{} { return nil }
-func use(chan struct{})
-
-func reassign(cond bool) {
-	ch := mk()
-	if cond {
-		ch = other()
-	}
-	use(ch)
-}
-
-func straight() {
-	ch := mk()
-	ch = other()
-	use(ch)
-}
-`
-
-func TestReachingDefs(t *testing.T) {
-	pass, u, cfg := parseUnit(t, rdSrc, "reassign")
-	rd := NewRD(cfg, pass.Info, paramsOf(pass, u))
-	call := findCall(t, u.Body, "use")
-	arg := call.Args[0].(*ast.Ident)
-	defs := rd.DefsReaching(arg)
-	if len(defs) != 2 {
-		t.Fatalf("want both mk() and other() defs reaching, got %d", len(defs))
-	}
-
-	pass, u, cfg = parseUnit(t, rdSrc, "straight")
-	rd = NewRD(cfg, pass.Info, paramsOf(pass, u))
-	call = findCall(t, u.Body, "use")
-	defs = rd.DefsReaching(call.Args[0].(*ast.Ident))
-	if len(defs) != 1 {
-		t.Fatalf("straight-line redefinition must kill: got %d defs", len(defs))
-	}
-	if id, ok := ast.Unparen(defs[0].Rhs).(*ast.CallExpr); !ok {
-		t.Fatal("surviving def should be the other() call")
-	} else if fn, ok := id.Fun.(*ast.Ident); !ok || fn.Name != "other" {
-		t.Fatalf("surviving def should be other(), got %v", defs[0].Rhs)
 	}
 }
 

@@ -21,7 +21,7 @@ type parsedPkg struct {
 	imports map[string]bool // module-internal imports only
 }
 
-// LoadOptions widens what Load pulls into the analysis universe.
+// LoadOptions widens what LoadOpts pulls into the analysis universe.
 type LoadOptions struct {
 	// IncludeTests loads _test.go files as well. In-package test files
 	// join their package's Pass; external foo_test packages become their
@@ -30,13 +30,8 @@ type LoadOptions struct {
 	IncludeTests bool
 }
 
-// LoadModule locates go.mod in root and loads every non-test package in the
-// module. This is the entry point cmd/gqlvet uses.
-func LoadModule(fset *token.FileSet, root string) ([]*Pass, error) {
-	return LoadModuleOpts(fset, root, LoadOptions{})
-}
-
-// LoadModuleOpts is LoadModule with explicit options.
+// LoadModuleOpts locates go.mod in root and loads every package in the
+// module through LoadOpts. This is the entry point cmd/gqlvet uses.
 func LoadModuleOpts(fset *token.FileSet, root string, opts LoadOptions) ([]*Pass, error) {
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -56,16 +51,12 @@ func LoadModuleOpts(fset *token.FileSet, root string, opts LoadOptions) ([]*Pass
 	return LoadOpts(fset, root, modPath, opts)
 }
 
-// Load parses and type-checks every non-test package under root. A
-// directory <root>/a/b maps to import path <modPath>/a/b (root itself to
-// modPath). Module-internal imports resolve to the packages being loaded;
-// everything else (the standard library) resolves through the source
-// importer, so no compiled export data is needed.
-func Load(fset *token.FileSet, root, modPath string) ([]*Pass, error) {
-	return LoadOpts(fset, root, modPath, LoadOptions{})
-}
-
-// LoadOpts is Load with explicit options.
+// LoadOpts parses and type-checks every package under root (test files
+// only with opts.IncludeTests). A directory <root>/a/b maps to import path
+// <modPath>/a/b (root itself to modPath). Module-internal imports resolve
+// to the packages being loaded; everything else (the standard library)
+// resolves through the source importer, so no compiled export data is
+// needed. A package with a type error fails the whole load.
 func LoadOpts(fset *token.FileSet, root, modPath string, opts LoadOptions) ([]*Pass, error) {
 	pkgs, err := parseTree(fset, root, modPath, opts)
 	if err != nil {

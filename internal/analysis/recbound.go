@@ -50,60 +50,15 @@ func runRecBound(pass *Pass) {
 	if !pathHasAnySuffix(pass.Path, recboundPkgs) {
 		return
 	}
-	// Collect package-level function declarations keyed by their object.
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				decls[obj] = fd
-			}
-		}
-	}
-	// Call-graph edges between functions of this package.
-	calls := map[*types.Func][]*types.Func{}
-	for caller, fd := range decls {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if callee, ok := pass.Info.Uses[id].(*types.Func); ok {
-				if _, isLocal := decls[callee]; isLocal {
-					calls[caller] = append(calls[caller], callee)
-				}
-			}
-			return true
-		})
-	}
-	for fn, fd := range decls {
-		if !reaches(calls, fn, fn, map[*types.Func]bool{}) {
+	g := newCallGraph(pass)
+	for fn, fd := range g.decls {
+		if !g.reaches(fn, fn) {
 			continue
 		}
-		if hasUnboundedSite(pass, fd, fn, decls, calls) {
+		if hasUnboundedSite(pass, fd, fn, g) {
 			pass.Reportf(fd.Pos(), "recursive function %s has a recursion path with no visible depth/budget/cancellation bound; decrement a depth or budget argument when recursing, or check a limit/cancellation/visited bound on a path dominating the recursive call", fn.Name())
 		}
 	}
-}
-
-// reaches reports whether target is reachable from fn over call edges.
-func reaches(calls map[*types.Func][]*types.Func, fn, target *types.Func, seen map[*types.Func]bool) bool {
-	for _, callee := range calls[fn] {
-		if callee == target {
-			return true
-		}
-		if seen[callee] {
-			continue
-		}
-		seen[callee] = true
-		if reaches(calls, callee, target, seen) {
-			return true
-		}
-	}
-	return false
 }
 
 // boundCond is one condition position mentioning a bound word: the block
@@ -115,7 +70,7 @@ type boundCond struct {
 
 // hasUnboundedSite reports whether any recursive call site in fd (its body
 // or any nested function literal) lacks both evidence rules.
-func hasUnboundedSite(pass *Pass, fd *ast.FuncDecl, fn *types.Func, decls map[*types.Func]*ast.FuncDecl, calls map[*types.Func][]*types.Func) bool {
+func hasUnboundedSite(pass *Pass, fd *ast.FuncDecl, fn *types.Func, g *callGraph) bool {
 	for _, u := range declUnits(fd) {
 		cfg := NewCFG(u.Body)
 		var bounds []boundCond
@@ -144,15 +99,9 @@ func hasUnboundedSite(pass *Pass, fd *ast.FuncDecl, fn *types.Func, decls map[*t
 			if !ok {
 				return true
 			}
+			// A recursive site: a local callee that can reach fn again.
 			callee := calleeOf(pass, call)
-			if callee == nil {
-				return true
-			}
-			if _, isLocal := decls[callee]; !isLocal {
-				return true
-			}
-			// A recursive site: the callee can reach fn again.
-			if callee != fn && !reaches(calls, callee, fn, map[*types.Func]bool{}) {
+			if !g.local(callee) || (callee != fn && !g.reaches(callee, fn)) {
 				return true
 			}
 			if !siteHasEvidence(cfg, bounds, call) {

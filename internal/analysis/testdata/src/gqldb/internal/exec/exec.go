@@ -73,30 +73,7 @@ func readSnapshot(s *store.DocStore, name string) int {
 	return len(d.Collection()) + len(d.Shards())
 }
 
-// scribbleGroup writes through the shared group slice a shard result hands
-// out by reference — corrupting the merged answer for every other holder:
-// flagged.
-func scribbleGroup(r *store.ShardResult) {
-	g := r.Group(0)
-	if len(g) == 0 {
-		return
-	}
-	g[0] = -1 // want:aliasguard `element write`
-}
-
-// renderGroup copies the group before reordering — the sanctioned shape:
-// allowed.
-func renderGroup(r *store.ShardResult) []int {
-	src := r.Group(0)
-	out := make([]int, len(src))
-	copy(out, src)
-	if len(out) > 1 {
-		out[0], out[1] = out[1], out[0]
-	}
-	return out
-}
-
 // usedAll keeps the corpus cases referenced so the package typechecks
 // without unused-symbol noise under vet.
 var _ = []any{mutateCached, dropCached, renameDoc, scribbleCollection,
-	growCollection, cloneThenMutate, readSnapshot, scribbleGroup, renderGroup}
+	growCollection, cloneThenMutate, readSnapshot}

@@ -92,6 +92,59 @@ func SelectPoll(done <-chan struct{}, items []int) int {
 	}
 }
 
+// DoneVarPoll stores ctx.Done() in a local and selects on the variable
+// every iteration. Done returns <-chan struct{}, so the variable's type is
+// the evidence: allowed.
+func DoneVarPoll(ctx context.Context, items []int) int {
+	done := ctx.Done()
+	total := 0
+	i := 0
+	for {
+		select {
+		case <-done:
+			return total
+		default:
+		}
+		if i >= len(items) {
+			return total
+		}
+		total += work(items[i])
+		i++
+	}
+}
+
+// stop is a named done channel; its underlying type is still a
+// struct{} channel.
+type stop <-chan struct{}
+
+// NamedDonePoll holds the same ctx.Done() value under a named type:
+// allowed.
+func NamedDonePoll(ctx context.Context, items []int) int {
+	var s stop = ctx.Done()
+	total := 0
+	i := 0
+	for {
+		select {
+		case <-s:
+			return total
+		default:
+		}
+		if i >= len(items) {
+			return total
+		}
+		total += work(items[i])
+		i++
+	}
+}
+
+// DrainInts receives from a value channel every iteration; a chan int
+// carries data, not cancellation: flagged.
+func DrainInts(ch chan int) {
+	for { // want:ctxpoll `never polls`
+		<-ch
+	}
+}
+
 // WhileDelegated is while-style but hands the context to its callee every
 // iteration — the callee owns the polling obligation: allowed.
 func WhileDelegated(ctx context.Context, fn func(context.Context, int) error, n int) error {

@@ -42,12 +42,3 @@ func (c *Cache) Get(key string) (any, bool) {
 	_ = key
 	return nil, false
 }
-
-// ShardResult mimics the coordinator's per-shard answer: Group hands the
-// merged member list out by reference.
-type ShardResult struct {
-	groups [][]int
-}
-
-// Group returns one member's bindings by reference.
-func (r *ShardResult) Group(li int) []int { return r.groups[li] }

@@ -99,26 +99,6 @@ func namedTypeKey(t types.Type) string {
 	return trimToInternal(obj.Pkg().Path()) + "." + obj.Name()
 }
 
-// typeFromPkg reports whether t (pointers unwrapped) is a named type whose
-// defining package path ends with the given internal suffix.
-func typeFromPkg(t types.Type, internalSuffix string) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return pathHasSuffix(obj.Pkg().Path(), internalSuffix)
-}
-
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool {
 	named, ok := types.Unalias(t).(*types.Named)
@@ -187,4 +167,61 @@ func declUnits(fd *ast.FuncDecl) []funcUnit {
 		return true
 	})
 	return units
+}
+
+// callGraph is the package-local call graph recbound and ctxpoll use to
+// find recursion: every function declared with a body in the package, and
+// for each the local functions its body (literals included) references.
+type callGraph struct {
+	decls map[*types.Func]*ast.FuncDecl
+	calls map[*types.Func][]*types.Func
+}
+
+func newCallGraph(pass *Pass) *callGraph {
+	g := &callGraph{decls: map[*types.Func]*ast.FuncDecl{}, calls: map[*types.Func][]*types.Func{}}
+	for _, file := range pass.Files {
+		for _, d := range file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
+					g.decls[obj] = fd
+				}
+			}
+		}
+	}
+	for caller, fd := range g.decls {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if callee, ok := pass.Info.Uses[id].(*types.Func); ok && g.local(callee) {
+					g.calls[caller] = append(g.calls[caller], callee)
+				}
+			}
+			return true
+		})
+	}
+	return g
+}
+
+// local reports whether fn is declared with a body in this package.
+func (g *callGraph) local(fn *types.Func) bool { return g.decls[fn] != nil }
+
+// reaches reports whether target is reachable from fn over call edges;
+// reaches(fn, fn) is "fn is recursive".
+func (g *callGraph) reaches(fn, target *types.Func) bool {
+	seen := map[*types.Func]bool{}
+	var walk func(*types.Func) bool
+	walk = func(fn *types.Func) bool {
+		for _, callee := range g.calls[fn] {
+			if callee == target {
+				return true
+			}
+			if !seen[callee] {
+				seen[callee] = true
+				if walk(callee) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return walk(fn)
 }

@@ -105,9 +105,6 @@ func (ix *LabelIndex) Lookup(label string) []graph.NodeID {
 	return v
 }
 
-// NodeLabelID returns the interned label of node v.
-func (ix *LabelIndex) NodeLabelID(v graph.NodeID) int32 { return ix.nodeLabel[v] }
-
 // Freq returns how many nodes carry the label.
 func (ix *LabelIndex) Freq(label string) int {
 	// The interner is shared with pattern-side neighborhoods, so an ID may

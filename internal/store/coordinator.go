@@ -50,11 +50,6 @@ type ShardResult struct {
 	Remote *RemoteInfo
 }
 
-// Group returns the bindings of shard-local member li (nil when it matched
-// nothing). The returned slice aliases the result's shared backing —
-// callers must treat it as read-only; the engine layer owns cloning.
-func (r *ShardResult) Group(li int) algebra.Matched { return r.Groups[li] }
-
 // RemoteInfo records how a remote selector answered one shard request.
 type RemoteInfo struct {
 	// Endpoint is the shard server that produced the answer.

@@ -418,19 +418,15 @@ func (s *DocStore) buildStagedDoc(sd *stagedDoc) *Doc {
 	return d
 }
 
-// clampShards mirrors DocBuilder.Build's shard-count clamp: never more
-// shards than graphs, and one shard for an empty collection.
+// clampShards is the shard count DocBuilder.Build and incremental
+// maintenance both partition into: at least one, never more shards than
+// graphs (empty shards only cost fan-out overhead), and one empty shard
+// for an empty collection so the doc always has a partition.
 func clampShards(shards, collLen int) int {
-	if shards < 1 {
-		shards = 1
+	if shards < 1 || collLen == 0 {
+		return 1
 	}
-	if shards > collLen && collLen > 0 {
-		shards = collLen
-	}
-	if collLen == 0 {
-		shards = 1
-	}
-	return shards
+	return min(shards, collLen)
 }
 
 // rebuildShard copies one shard with the changed canonical ordinals

@@ -7,8 +7,11 @@
 // immutable snapshots:
 //
 //   - Versioning: the store carries a monotonic version, bumped by every
-//     RegisterDoc/RemoveDoc. Whole-program result caching keys on it, so a
-//     mutation implicitly invalidates every cached result.
+//     RegisterDoc/RemoveDoc and every committed mutation batch; each
+//     document it touches is stamped with the new value. Result-cache keys
+//     record the version of each document a program read (cache.go), so a
+//     write invalidates only the cached results that read the written
+//     document.
 //   - Snapshots: readers take a Snapshot — an immutable view of all
 //     documents at one version. In-flight queries keep their snapshot for
 //     the whole program, so a concurrent mutation never tears a result.
@@ -309,11 +312,9 @@ type DocBuilder struct {
 }
 
 // NewDocBuilder returns a builder for a document with the given shard count
-// (min 1) and per-shard index path length (0 disables indexing).
+// (Build clamps it with clampShards) and per-shard index path length (0
+// disables indexing).
 func NewDocBuilder(name string, shards, indexMaxLen int) *DocBuilder {
-	if shards < 1 {
-		shards = 1
-	}
 	return &DocBuilder{name: name, shards: shards, ixLen: indexMaxLen}
 }
 
@@ -325,16 +326,7 @@ func (b *DocBuilder) Add(g *graph.Graph) { b.coll = append(b.coll, g) }
 // indexes. The returned Doc is immutable; the builder must not be reused.
 func (b *DocBuilder) Build() *Doc {
 	d := &Doc{Name: b.name, coll: b.coll}
-	n := b.shards
-	if n > len(b.coll) && len(b.coll) > 0 {
-		// Never materialize more shards than graphs; empty shards only cost
-		// fan-out overhead. An empty collection keeps one empty shard so the
-		// doc always has a partition.
-		n = len(b.coll)
-	}
-	if len(b.coll) == 0 {
-		n = 1
-	}
+	n := clampShards(b.shards, len(b.coll))
 	shards := make([]*Shard, n)
 	for i := range shards {
 		shards[i] = &Shard{}
