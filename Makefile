@@ -62,10 +62,11 @@ gqlvet:
 	$(GO) run ./cmd/gqlvet -tests ./...
 
 ## fuzz-smoke: brief fuzz of the parsers, the binary/TSV graph readers,
-## the expression evaluator and the HTTP query frontend (panics and 500s
-## are failures); run longer locally when touching internal/lexer,
-## internal/parser, internal/sqlbase, internal/expr, internal/server or
-## the internal/graph load paths
+## the expression evaluator, the HTTP query frontend, the shard wire and
+## the WAL record decoder (panics and 500s are failures); run longer
+## locally when touching internal/lexer, internal/parser, internal/sqlbase,
+## internal/expr, internal/server, the internal/graph load paths or the
+## store's wire and WAL codecs
 fuzz-smoke:
 	$(GO) test ./internal/parser -run 'FuzzParse$$' -fuzz 'FuzzParse$$' -fuzztime 10s
 	$(GO) test ./internal/parser -run FuzzParseMutation -fuzz FuzzParseMutation -fuzztime 10s
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run 'FuzzServerQuery$$' -fuzz 'FuzzServerQuery$$' -fuzztime 10s
 	$(GO) test ./internal/server -run 'FuzzServerQueryV2$$' -fuzz 'FuzzServerQueryV2$$' -fuzztime 10s
 	$(GO) test ./internal/store -run FuzzShardWire -fuzz FuzzShardWire -fuzztime 10s
+	$(GO) test ./internal/store -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime 10s
 
 ## check: everything CI runs
 check: build vet gqlvet test test-server test-cluster test-walcrash race fuzz-smoke

@@ -21,11 +21,12 @@
 // (POST /admin/doc for runtime document registration, POST /v2/mutate for
 // mutation programs — trusted operators only).
 //
-// -wal DIR makes the store durable: mutation batches are fsynced into an
-// append-only write-ahead log under DIR before they are acknowledged
-// (-wal-sync=false trades that for speed), a checkpoint compacts the log
-// every -checkpoint-every batches, and a restart replays checkpoint + log
-// over the -doc bootstrap to reach the exact pre-crash store.
+// -wal DIR makes the store durable: mutation batches and /admin/doc
+// registrations are fsynced into an append-only write-ahead log under DIR
+// before they are acknowledged (-wal-sync=false trades that for speed), a
+// checkpoint compacts the log every -checkpoint-every batches, and a
+// restart replays checkpoint + log over the -doc bootstrap to reach the
+// exact pre-crash store.
 //
 // -shards partitions every document into N hash shards whose selections fan
 // out concurrently and merge deterministically; -index-paths builds a
@@ -125,35 +126,29 @@ func main() {
 	flag.Parse()
 
 	// With -wal the store is durable: startup replays the log over the
-	// bootstrap documents, and every /v2/mutate batch is fsynced into the
-	// WAL before the 200 leaves the process. Documents then MUST come from
-	// -doc at startup (the deterministic bootstrap); runtime /admin/doc
-	// registrations are not WAL-logged and would make the next restart
-	// refuse to replay.
+	// -doc bootstrap, and every /v2/mutate batch and /admin/doc
+	// registration is fsynced into the WAL before the 200 leaves the
+	// process.
 	sopts := store.Options{Shards: *shards, IndexMaxLen: *indexLen}
 	bootstrap := store.BootstrapFiles(docs, func(format string, args ...any) {
 		log.Printf("gqlserver: "+format, args...)
 	})
-	var st store.Store
+	st := store.New(sopts)
 	if *walDir != "" {
-		d, err := store.OpenDurable(sopts, store.DurableOptions{
+		var err error
+		st, err = store.OpenDurable(sopts, store.DurableOptions{
 			Dir: *walDir, Sync: *walSync, CheckpointEvery: *checkpointEvery,
 			Bootstrap: bootstrap,
 		})
 		if err != nil {
 			fail("opening durable store: %v", err)
 		}
-		defer d.Close()
 		log.Printf("gqlserver: durable store at %s (version %d, %d WAL records)",
-			*walDir, d.Version(), d.WALRecords())
-		st = d
-	} else {
-		ds := store.New(sopts)
-		if err := bootstrap(ds); err != nil {
-			fail("%v", err)
-		}
-		st = ds
+			*walDir, st.Version(), st.WALRecords())
+	} else if err := bootstrap(st); err != nil {
+		fail("%v", err)
 	}
+	defer st.Close()
 
 	eng := exec.NewOver(st)
 	if *cache > 0 {

@@ -83,23 +83,19 @@ func main() {
 	// its own mutation programs are fsynced into the log before the summary
 	// prints.
 	sopts := store.Options{Shards: *shards, IndexMaxLen: *indexLen}
-	var st store.Store
+	st := store.New(sopts)
 	if *walDir != "" {
-		d, err := store.OpenDurable(sopts, store.DurableOptions{
+		var err error
+		st, err = store.OpenDurable(sopts, store.DurableOptions{
 			Dir: *walDir, Sync: *walSync, Bootstrap: bootstrap,
 		})
 		if err != nil {
 			fail("opening durable store: %v", err)
 		}
-		defer d.Close()
-		st = d
-	} else {
-		ds := store.New(sopts)
-		if err := bootstrap(ds); err != nil {
-			fail("%v", err)
-		}
-		st = ds
+	} else if err := bootstrap(st); err != nil {
+		fail("%v", err)
 	}
+	defer st.Close()
 
 	var src []byte
 	var err error

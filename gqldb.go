@@ -103,9 +103,9 @@ type (
 	// build a DocStore and use NewEngineOver.
 	Store = map[string]graph.Collection
 	// DocStore is the versioned, sharded in-process document store: every
-	// RegisterDoc bumps a monotonic version, queries read immutable
-	// snapshots, and collections are hash-partitioned into shards with
-	// optional per-shard path indexes (see StoreOptions).
+	// RegisterDoc and mutation batch bumps a monotonic version, queries read
+	// immutable snapshots, and collections are hash-partitioned into shards
+	// with optional per-shard path indexes (see StoreOptions).
 	DocStore = store.DocStore
 	// StoreOptions configures a DocStore: shard count per document and the
 	// per-shard path-feature index length (0 disables indexing).
@@ -113,10 +113,6 @@ type (
 	// StoreSnapshot is one immutable view of a DocStore at a single
 	// version; in-flight queries each pin one.
 	StoreSnapshot = store.Snapshot
-	// VersionedStore is the engine-facing document-store interface
-	// (DocStore is the in-process implementation; an RPC client is the
-	// multi-process seam).
-	VersionedStore = store.Store
 	// ResultCache is the LRU whole-program result cache keyed on
 	// (canonical program text, documents read, store version), invalidated
 	// by version bump; set it on Engine.Cache and query via
@@ -411,7 +407,7 @@ type QueryOptions struct {
 	// unsharded DocStore (the simple path).
 	Docs Store
 	// Store is a versioned document store — the sharded/indexed path.
-	Store VersionedStore
+	Store *DocStore
 	// Engine executes the query on an existing engine via Engine.Request,
 	// inheriting its cache, options and slow-query configuration.
 	Engine *Engine
@@ -520,7 +516,7 @@ func NewEngine(st Store) *Engine { return exec.NewOver(store.FromMap(st)) }
 //	eng := gqldb.NewEngineOver(docs)
 //	eng.Cache = gqldb.NewResultCache(256)
 //	res, err := eng.RunQuery(ctx, query)
-func NewEngineOver(docs VersionedStore) *Engine { return exec.NewOver(docs) }
+func NewEngineOver(docs *DocStore) *Engine { return exec.NewOver(docs) }
 
 // NewDocStore returns an empty versioned document store; register
 // collections with RegisterDoc (each registration bumps the store version).

@@ -21,8 +21,8 @@ var unsafeInGoroutine = map[string]map[string]bool{
 	// locked and worker-safe.
 	"internal/obs.Span": {"End": true, "SetAttr": true},
 	// DocBuilder batches registrations without synchronization; builds are
-	// single-goroutine by contract, with DocStore.install publishing the
-	// result under the store lock.
+	// single-goroutine by contract, with DocStore.commitApply publishing
+	// the result under the store lock.
 	"internal/store.DocBuilder": {"Add": true},
 	// SetCapacity resizes the LRU without taking the cache lock; it is a
 	// startup-only call by contract, before any querying goroutine exists.
@@ -31,7 +31,7 @@ var unsafeInGoroutine = map[string]map[string]bool{
 	// worker-safe, SetCapacity is startup-only.
 	"internal/match.PlanCache": {"SetCapacity": true},
 	// The write-ahead log serializes under the store writer lock, which
-	// its callers (Durable.ApplyBatch, checkpointing) hold by contract;
+	// its callers (DocStore.ApplyBatch, checkpointing) hold by contract;
 	// Append and Reset write the file position and record counter without
 	// their own lock, so a bare goroutine call interleaves frames.
 	"internal/store.WAL": {"Append": true, "Reset": true},

@@ -29,8 +29,8 @@ type Engine struct {
 	// Docs is the versioned document store queries read from. Every program
 	// executes against one store snapshot taken at entry, so concurrent
 	// RegisterDoc calls never tear an in-flight result. A nil Docs serves an
-	// empty snapshot.
-	Docs store.Store
+	// empty snapshot and refuses mutations.
+	Docs *store.DocStore
 	// Cache, when set, memoizes whole-program results by (canonical program
 	// text, docs read, store version) — see RunQuery. Run/RunContext bypass
 	// it (they receive pre-parsed programs; the canonical source text is the
@@ -130,7 +130,7 @@ type Result struct {
 // NewOver returns an engine with the default (exhaustive, unoptimized)
 // selection options reading through the given document store; wrap a plain
 // document map with store.FromMap.
-func NewOver(docs store.Store) *Engine {
+func NewOver(docs *store.DocStore) *Engine {
 	return &Engine{Docs: docs, Opts: match.Options{Exhaustive: true}}
 }
 

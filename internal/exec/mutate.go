@@ -1,5 +1,5 @@
 // Mutation execution: the engine-level surface that turns a parsed
-// mutation program into one transactional store.Apply batch. Queries and
+// mutation program into one transactional store ApplyBatch. Queries and
 // mutations stay on separate entry points — RunQuery rejects mutation
 // statements, Mutate rejects query statements — so a program is always
 // wholly one or the other and a batch's all-or-nothing semantics are
@@ -26,9 +26,7 @@ type MutationSummary = store.ApplyResult
 // Mutate parses and applies a mutation program — a program consisting
 // solely of mutation statements — as one all-or-nothing batch against the
 // engine's store. Parse failures return a *ParseError; a program mixing
-// query and mutation statements is rejected; a store without mutation
-// support (anything but a DocStore-backed store) reports itself
-// read-only.
+// query and mutation statements is rejected.
 func (e *Engine) Mutate(ctx context.Context, src string) (*MutationSummary, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -41,11 +39,10 @@ func (e *Engine) Mutate(ctx context.Context, src string) (*MutationSummary, erro
 	if err != nil {
 		return nil, err
 	}
-	m, ok := e.Docs.(store.Mutator)
-	if !ok {
-		return nil, errors.New("exec: store is read-only (no mutation support)")
+	if e.Docs == nil {
+		return nil, errors.New("exec: engine has no document store to mutate")
 	}
-	return m.ApplyBatch(ctx, muts)
+	return e.Docs.ApplyBatch(ctx, muts)
 }
 
 // LowerMutations lowers every statement of a mutation program into store

@@ -103,24 +103,3 @@ func TestMutateRejections(t *testing.T) {
 		t.Fatalf("rejected programs moved the store version %d -> %d", v, ds.Version())
 	}
 }
-
-// readOnlyStore hides the DocStore's Mutator surface: exactly the
-// store.Store interface, nothing more.
-type readOnlyStore struct{ inner *store.DocStore }
-
-func (r readOnlyStore) Snapshot() *store.Snapshot { return r.inner.Snapshot() }
-func (r readOnlyStore) Version() uint64           { return r.inner.Version() }
-func (r readOnlyStore) RegisterDoc(name string, c graph.Collection) uint64 {
-	return r.inner.RegisterDoc(name, c)
-}
-func (r readOnlyStore) RemoveDoc(name string) uint64 { return r.inner.RemoveDoc(name) }
-
-// TestMutateReadOnlyStore: an engine over a store without the Mutator
-// seam reports itself read-only.
-func TestMutateReadOnlyStore(t *testing.T) {
-	e := NewOver(readOnlyStore{inner: store.New(store.Options{})})
-	_, err := e.Mutate(context.Background(), `drop graph G in doc("db");`)
-	if err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("read-only store mutate error = %v, want read-only", err)
-	}
-}

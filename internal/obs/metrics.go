@@ -153,9 +153,9 @@ var (
 	// GindexPruned counts graphs the path-feature filter skipped without
 	// verification.
 	GindexPruned = newCounter("gqldb_gindex_pruned_total", "graphs pruned by the collection index filter")
-	// StoreMutations counts versioned document-store writes (RegisterDoc /
-	// RemoveDoc); each one bumps the store version and invalidates the
-	// result cache.
+	// StoreMutations counts committed document-store batches, RegisterDoc
+	// included; each one bumps the store version and invalidates the
+	// cached results that read a document it wrote.
 	StoreMutations = newCounter("gqldb_store_mutations_total", "versioned document store writes")
 	// MutationsApplied counts individual mutations committed through the
 	// transactional Apply path (a batch of N adds N).

@@ -313,7 +313,7 @@ type healthResponse struct {
 	Inflight int64    `json:"inflight"`
 	Docs     []string `json:"docs,omitempty"`
 	// StoreVersion is the document store's current version (bumped by every
-	// RegisterDoc).
+	// committed batch, registrations included).
 	StoreVersion uint64 `json:"store_version"`
 	// Cache is the result cache's counter snapshot, present when caching is
 	// enabled.
@@ -360,10 +360,12 @@ func (s *Server) handleHealthz(w *statusWriter, r *http.Request) {
 // handleAdminDoc serves POST /admin/doc?name=NAME (mounted only under
 // Config.Admin): register a document over HTTP. The body is a binary
 // collection (Content-Type application/octet-stream) or a sequence of
-// graph literals in the language's text syntax. The version bump
-// propagates exactly as Server.RegisterDoc: in-flight queries finish on
-// their snapshot, the result cache invalidates, and remote shard mirrors
-// go stale until the next query's handshake resyncs them.
+// graph literals in the language's text syntax. The registration is one
+// mutation batch — WAL-logged before the 200 on a durable store — and its
+// version bump propagates exactly as Server.RegisterDoc: in-flight queries
+// finish on their snapshot, the result cache invalidates, and remote shard
+// mirrors go stale until the next query's handshake resyncs them. A failed
+// registration maps through errorFor, as on /v2/mutate.
 func (s *Server) handleAdminDoc(w *statusWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
@@ -389,6 +391,11 @@ func (s *Server) handleAdminDoc(w *statusWriter, r *http.Request) {
 			return
 		}
 	}
-	v := s.RegisterDoc(name, coll)
+	v, err := s.RegisterDoc(name, coll)
+	if err != nil {
+		status, code, msg := s.errorFor(queryRequest{}, err)
+		writeError(w, status, code, msg)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"doc": name, "graphs": len(coll), "version": v})
 }

@@ -24,8 +24,8 @@ type mutateResponse struct {
 
 // handleMutateV2 serves POST /v2/mutate. The body is a mutation program
 // (raw, or inside the usual JSON envelope); parse failures are 400s,
-// application failures (unknown document, duplicate node, ...) are 422s
-// with the positioned batch error, and a read-only store reports 403.
+// and application failures (unknown document, duplicate node, ...) are
+// 422s with the positioned batch error.
 // The endpoint is mounted only under Config.Admin, like /admin/doc: the
 // write surface is for trusted operators, not the query plane.
 func (s *Server) handleMutateV2(w *statusWriter, r *http.Request) {

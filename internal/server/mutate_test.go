@@ -40,28 +40,8 @@ func postMutate(t *testing.T, url, program string) (*http.Response, map[string]a
 // the record, parse and application failures map to the wire contract, and
 // the mutation is visible to the query plane.
 func TestMutateV2(t *testing.T) {
-	dir := t.TempDir()
-	d, err := store.OpenDurable(store.Options{Shards: 2}, store.DurableOptions{
-		Dir: dir, Sync: true,
-		Bootstrap: func(s *store.DocStore) error {
-			g := graph.New("G")
-			g.AddNode("a", graph.TupleOf("", "label", "A"))
-			s.RegisterDoc("db", graph.Collection{g})
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, ts := durableServer(t, t.TempDir())
 	defer d.Close()
-	cfg := Config{
-		Engine:    exec.NewOver(d),
-		Timeout:   10 * time.Second,
-		AccessLog: func(AccessRecord) {},
-		Admin:     true,
-	}
-	s := New(cfg)
-	ts := httptest.NewServer(s)
 	defer ts.Close()
 
 	// A good batch: 200, summary counts, and the WAL holds it before the
@@ -129,6 +109,80 @@ for P exhaustive in doc("db") return graph { node P.v1; node P.v2; edge (P.v1, P
 	resp, out = postMutate(t, ts.URL, q)
 	if resp.StatusCode != 422 {
 		t.Fatalf("query-on-mutate status = %d, want 422", resp.StatusCode)
+	}
+}
+
+// durableServer opens a durable store in dir, bootstrapped with document
+// "db" (graph G, one A node), and serves it with the write surface mounted.
+func durableServer(t *testing.T, dir string) (*store.DocStore, *httptest.Server) {
+	t.Helper()
+	d, err := store.OpenDurable(store.Options{Shards: 2}, store.DurableOptions{
+		Dir: dir, Sync: true,
+		Bootstrap: func(s *store.DocStore) error {
+			if _, ok := s.Snapshot().Doc("db"); ok {
+				return nil
+			}
+			g := graph.New("G")
+			g.AddNode("a", graph.TupleOf("", "label", "A"))
+			_, err := s.RegisterDoc("db", graph.Collection{g})
+			return err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, httptest.NewServer(New(Config{
+		Engine:    exec.NewOver(d),
+		Timeout:   10 * time.Second,
+		AccessLog: func(AccessRecord) {},
+		Admin:     true,
+	}))
+}
+
+// TestAdminDocDurable: a runtime /admin/doc registration on a durable
+// server is WAL-logged like a mutation batch, so a later /v2/mutate on the
+// new document and a restart both work and the document survives. Once
+// the log is closed, a registration fails and the endpoint never says 200.
+func TestAdminDocDurable(t *testing.T) {
+	dir := t.TempDir()
+	d, ts := durableServer(t, dir)
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/admin/doc?name=reg", "text/plain",
+		strings.NewReader(`graph R { node r <label="A">; };`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("/admin/doc status = %d, want 200", resp.StatusCode)
+	}
+	if resp, out := postMutate(t, ts.URL, `insert node s <label="B"> into R in doc("reg");`); resp.StatusCode != 200 {
+		t.Fatalf("mutate after /admin/doc: status %d, body %v", resp.StatusCode, out)
+	}
+	d.Close()
+
+	resp, err = http.Post(ts.URL+"/admin/doc?name=late", "text/plain",
+		strings.NewReader(`graph L { node l; };`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 422 {
+		t.Fatalf("/admin/doc on a closed WAL: status %d, want 422", resp.StatusCode)
+	}
+
+	d2, ts2 := durableServer(t, dir)
+	defer d2.Close()
+	ts2.Close()
+	doc, ok := d2.Snapshot().Doc("reg")
+	if !ok {
+		t.Fatal("document registered over /admin/doc lost on reopen")
+	}
+	if n := doc.Collection()[0].NumNodes(); n != 2 {
+		t.Fatalf("reopened document has %d nodes, want 2 (registration + mutation)", n)
+	}
+	if _, ok := d2.Snapshot().Doc("late"); ok {
+		t.Fatal("a failed registration reached the log")
 	}
 }
 

@@ -188,11 +188,12 @@ func New(cfg Config) *Server {
 
 // RegisterDoc binds a document name (the target of doc("...") clauses) to a
 // collection through the engine's versioned store and returns the new store
-// version. Safe to call at any time, including while queries are running:
-// in-flight queries finish against the snapshot they started with, and the
-// version bump invalidates the result cache so no later query sees stale
-// data.
-func (s *Server) RegisterDoc(name string, c graph.Collection) uint64 {
+// version; on a durable store the registration is WAL-logged like any
+// mutation batch. Safe to call at any time, including while queries are
+// running: in-flight queries finish against the snapshot they started
+// with, and the version bump invalidates the result cache so no later
+// query sees stale data.
+func (s *Server) RegisterDoc(name string, c graph.Collection) (uint64, error) {
 	return s.engine.Docs.RegisterDoc(name, c)
 }
 

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -91,7 +92,7 @@ func New(cfg Config) *Server {
 
 // RegisterDoc installs a document into the mirror (partitioned and
 // indexed per the server's config) and returns the mirror's new version.
-func (s *Server) RegisterDoc(name string, c graph.Collection) uint64 {
+func (s *Server) RegisterDoc(name string, c graph.Collection) (uint64, error) {
 	return s.store.RegisterDoc(name, c)
 }
 
@@ -224,6 +225,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 
 // handleSync installs a document pushed by a frontend: the body is the
 // binary collection serialization, re-partitioned and re-indexed locally.
+// A body over MaxBody is a 413; an unreadable or malformed one a 400.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	obs.HTTPRequests.Inc()
 	name := r.URL.Query().Get("doc")
@@ -233,7 +235,12 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err != nil {
-		http.Error(w, "body too large or unreadable", http.StatusRequestEntityTooLarge)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		}
 		return
 	}
 	coll, err := graph.ReadBinary(bytes.NewReader(body))
@@ -241,7 +248,11 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "malformed collection: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	v := s.store.RegisterDoc(name, coll)
+	v, err := s.store.RegisterDoc(name, coll)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	obs.ShardSyncs.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{"version": v, "doc": name})

@@ -1,17 +1,21 @@
-// Durable wraps a DocStore with write-ahead durability: every Apply batch
-// is appended (and, under the Sync policy, fsynced) to the WAL before it
-// commits in memory, so an acknowledged mutation survives a crash. Opening
-// a durable store recovers the exact pre-crash state:
+// Durability: OpenDurable recovers a DocStore from a directory and then
+// attaches the directory's write-ahead log, after which every ApplyBatch —
+// RegisterDoc included — is appended (and, under the Sync policy, fsynced)
+// before it commits in memory, so an acknowledged write survives a crash.
+// Recovery rebuilds the exact pre-crash state:
 //
 //  1. the snapshot checkpoint (if any) seeds the document map and store
 //     version wholesale;
 //  2. Bootstrap registers the process's startup documents — it must be
 //     deterministic across restarts and skip names the checkpoint already
 //     restored, so the post-bootstrap version is reproducible;
-//  3. WAL records with Seq beyond the current version replay through the
-//     normal transactional Apply path, each required to commit as exactly
-//     its recorded version — a gap or overlap means the bootstrap diverged
-//     and recovery refuses to guess.
+//  3. WAL records with Seq beyond the current version replay through
+//     ApplyBatch, each required to commit as exactly its recorded version
+//     — a gap or overlap means the bootstrap diverged and recovery refuses
+//     to guess.
+//
+// The log is attached only after step 3, so bootstrap and replay are
+// never logged again.
 //
 // Checkpointing writes the whole store (binary collections plus document
 // versions) to snapshot.tmp, fsyncs, renames over snapshot.bin and then
@@ -60,18 +64,10 @@ type DurableOptions struct {
 	Bootstrap func(*DocStore) error
 }
 
-// Durable is a DocStore whose Apply batches are WAL-durable. Reads and
-// non-mutation writes pass through the embedded store.
-type Durable struct {
-	*DocStore
-	wal             *WAL
-	dir             string
-	checkpointEvery int
-}
-
 // OpenDurable opens (or creates) a durable store in dopts.Dir, recovering
-// checkpoint + WAL state into a store configured by sopts.
-func OpenDurable(sopts Options, dopts DurableOptions) (*Durable, error) {
+// checkpoint + WAL state into a store configured by sopts, and attaches
+// the WAL to it. Close the store to close the log.
+func OpenDurable(sopts Options, dopts DurableOptions) (*DocStore, error) {
 	if dopts.Dir == "" {
 		return nil, fmt.Errorf("store: durable: no directory configured")
 	}
@@ -113,70 +109,46 @@ func OpenDurable(sopts Options, dopts DurableOptions) (*Durable, error) {
 		}
 		obs.WALReplayed.Inc()
 	}
-	return &Durable{
-		DocStore:        s,
-		wal:             wal,
-		dir:             dopts.Dir,
-		checkpointEvery: dopts.CheckpointEvery,
-	}, nil
-}
-
-// Apply applies the batch WAL-durably and returns the new store version.
-func (d *Durable) Apply(ctx context.Context, muts []Mutation) (uint64, error) {
-	res, err := d.ApplyBatch(ctx, muts)
-	if err != nil {
-		return 0, err
-	}
-	return res.Version, nil
-}
-
-// ApplyBatch stages the batch, appends it to the WAL (fsynced under the
-// Sync policy), and only then commits — so by the time the caller sees a
-// result the batch is recoverable. A failed append commits nothing.
-func (d *Durable) ApplyBatch(ctx context.Context, muts []Mutation) (*ApplyResult, error) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	st, err := d.stageApply(ctx, muts)
-	if err != nil {
-		return nil, err
-	}
-	seq := d.DocStore.Version() + 1
-	if err := d.wal.Append(seq, muts); err != nil {
-		return nil, err
-	}
-	st.result.Version = d.commitApply(st)
-	if d.checkpointEvery > 0 && d.wal.Records() >= d.checkpointEvery {
-		if err := d.checkpointLocked(); err != nil {
-			// The commit is already durable in the WAL; a failed checkpoint
-			// only delays truncation.
-			return &st.result, fmt.Errorf("store: durable: checkpoint: %w", err)
-		}
-	}
-	return &st.result, nil
+	s.wal, s.dir, s.checkpointEvery = wal, dopts.Dir, dopts.CheckpointEvery
+	return s, nil
 }
 
 // Checkpoint writes the current store state to the snapshot file and
-// truncates the WAL.
-func (d *Durable) Checkpoint() error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	return d.checkpointLocked()
+// truncates the WAL. A store without a WAL has nowhere to checkpoint to.
+func (s *DocStore) Checkpoint() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.wal == nil {
+		return fmt.Errorf("store: checkpoint: no write-ahead log attached")
+	}
+	return s.checkpointLocked()
 }
 
-// WALRecords returns the number of records currently in the WAL.
-func (d *Durable) WALRecords() int {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	return d.wal.Records()
+// WALRecords returns the number of records currently in the WAL (0 without
+// one).
+func (s *DocStore) WALRecords() int {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.wal == nil {
+		return 0
+	}
+	return s.wal.Records()
 }
 
-// Close checkpoints nothing and closes the WAL file; the store remains
-// usable for reads.
-func (d *Durable) Close() error { return d.wal.Close() }
+// Close checkpoints nothing and closes the WAL file, if one is attached;
+// the store remains usable for reads, and later writes fail.
+func (s *DocStore) Close() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.wal == nil {
+		return nil
+	}
+	return s.wal.Close()
+}
 
-func (d *Durable) checkpointLocked() error {
-	snap := d.DocStore.Snapshot()
-	tmp := filepath.Join(d.dir, snapFileName+".tmp")
+func (s *DocStore) checkpointLocked() error {
+	snap := s.Snapshot()
+	tmp := filepath.Join(s.dir, snapFileName+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
@@ -195,11 +167,11 @@ func (d *Durable) checkpointLocked() error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, snapFileName)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(s.dir, snapFileName)); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := d.wal.Reset(); err != nil {
+	if err := s.wal.Reset(); err != nil {
 		return err
 	}
 	obs.WALCheckpoints.Inc()

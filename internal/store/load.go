@@ -77,7 +77,9 @@ func BootstrapFiles(files map[string]string, logf func(format string, args ...an
 			if err != nil {
 				return fmt.Errorf("loading %s: %w", files[name], err)
 			}
-			s.RegisterDoc(name, coll)
+			if _, err := s.RegisterDoc(name, coll); err != nil {
+				return fmt.Errorf("registering %s: %w", name, err)
+			}
 			logf("loaded document %s from %s (%d graphs)", name, files[name], len(coll))
 		}
 		return nil

@@ -2,12 +2,14 @@
 // batch of mutations stages against the current state under the writer
 // lock, validates every operation (accumulating positioned errors, graph.
 // Builder-style), and commits all touched documents under a single version
-// bump — or commits nothing. Node/edge deltas are maintained
+// bump — or commits nothing. It is the store's only commit path: document
+// registration is the OpRegisterDoc mutation, and with a WAL attached
+// every batch is logged before it commits. Node/edge deltas are maintained
 // incrementally: the touched graph keeps its canonical ordinal (shardOf
 // depends only on name and ordinal), so only its shard is rebuilt and the
 // shard's path index is updated in place of a full Build. Graph drops
-// shift ordinals and force a full repartition of the document — the
-// documented slow path.
+// shift ordinals and, like whole-document registrations, force a full
+// repartition of the document — the documented slow path.
 package store
 
 import (
@@ -33,6 +35,9 @@ const (
 	OpInsertEdge
 	OpDeleteNode
 	OpDeleteEdge
+	// OpRegisterDoc replaces the whole document with Coll (creating it if
+	// absent). Duplicate graph names are allowed.
+	OpRegisterDoc
 )
 
 // String names the operation for positioned errors and the WAL dump tool.
@@ -50,6 +55,8 @@ func (op MutationOp) String() string {
 		return "delete node"
 	case OpDeleteEdge:
 		return "delete edge"
+	case OpRegisterDoc:
+		return "register doc"
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
@@ -73,6 +80,9 @@ type Mutation struct {
 	// Body is an optional literal body for OpCreateGraph (its Name should
 	// equal Graph). The store takes ownership.
 	Body *graph.Graph
+	// Coll is the replacement collection of OpRegisterDoc, in canonical
+	// order. The store takes ownership of its graphs.
+	Coll graph.Collection
 }
 
 // ApplyResult summarizes one committed batch.
@@ -89,27 +99,12 @@ type ApplyResult struct {
 	EdgesDeleted  int `json:"edges_deleted"`
 }
 
-// Mutator is the write seam the exec layer routes mutation programs
-// through: DocStore implements it directly, Durable wraps it with WAL
-// durability.
-type Mutator interface {
-	// ApplyBatch applies the batch transactionally and returns the commit
-	// summary. On error nothing is applied.
-	ApplyBatch(ctx context.Context, muts []Mutation) (*ApplyResult, error)
-}
-
-// Apply applies the batch transactionally and returns the new store
-// version. All-or-nothing: on error the store is unchanged and every
-// invalid mutation is reported with its batch position.
-func (s *DocStore) Apply(ctx context.Context, muts []Mutation) (uint64, error) {
-	res, err := s.ApplyBatch(ctx, muts)
-	if err != nil {
-		return 0, err
-	}
-	return res.Version, nil
-}
-
-// ApplyBatch is Apply returning the full commit summary.
+// ApplyBatch applies the batch transactionally and returns the commit
+// summary. All-or-nothing: on error the store is unchanged and every
+// invalid mutation is reported with its batch position. With a WAL
+// attached the staged batch is appended (fsynced under the Sync policy)
+// before it commits, so by the time the caller sees a result the batch is
+// recoverable; a failed append commits nothing.
 func (s *DocStore) ApplyBatch(ctx context.Context, muts []Mutation) (*ApplyResult, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -117,7 +112,19 @@ func (s *DocStore) ApplyBatch(ctx context.Context, muts []Mutation) (*ApplyResul
 	if err != nil {
 		return nil, err
 	}
+	if s.wal != nil {
+		if err := s.wal.Append(s.Version()+1, muts); err != nil {
+			return nil, err
+		}
+	}
 	st.result.Version = s.commitApply(st)
+	if s.wal != nil && s.checkpointEvery > 0 && s.wal.Records() >= s.checkpointEvery {
+		if err := s.checkpointLocked(); err != nil {
+			// The commit is already durable in the WAL; a failed checkpoint
+			// only delays truncation.
+			return &st.result, fmt.Errorf("store: durable: checkpoint: %w", err)
+		}
+	}
 	return &st.result, nil
 }
 
@@ -137,9 +144,10 @@ type stagedDoc struct {
 	owned map[int]bool
 	// changed records ordinals whose graph differs from the base.
 	changed map[int]bool
-	// dropped is set when a graph was removed: ordinals shifted, the
-	// commit must repartition the document from scratch.
-	dropped bool
+	// repartition is set when a graph was removed or the whole collection
+	// replaced: ordinals shifted, the commit must repartition the document
+	// from scratch.
+	repartition bool
 }
 
 type stagedApply struct {
@@ -172,7 +180,7 @@ func (s *DocStore) stageApply(ctx context.Context, muts []Mutation) (*stagedAppl
 		sd, ok := st.docs[m.Doc]
 		if !ok {
 			base, exists := snap.Doc(m.Doc)
-			if !exists && m.Op != OpCreateGraph {
+			if !exists && m.Op != OpCreateGraph && m.Op != OpRegisterDoc {
 				fail(i, m, "unknown document %q", m.Doc)
 				continue
 			}
@@ -193,19 +201,24 @@ func newStagedDoc(name string, base *Doc) *stagedDoc {
 	sd := &stagedDoc{
 		name:    name,
 		base:    base,
-		byName:  make(map[string]int),
 		owned:   make(map[int]bool),
 		changed: make(map[int]bool),
 	}
 	if base != nil {
 		sd.coll = append(graph.Collection(nil), base.coll...)
-		for ord, g := range base.coll {
-			if _, dup := sd.byName[g.Name]; !dup {
-				sd.byName[g.Name] = ord
-			}
+	}
+	sd.indexNames()
+	return sd
+}
+
+// indexNames rebuilds byName from the working collection.
+func (sd *stagedDoc) indexNames() {
+	sd.byName = make(map[string]int, len(sd.coll))
+	for ord, g := range sd.coll {
+		if _, dup := sd.byName[g.Name]; !dup {
+			sd.byName[g.Name] = ord
 		}
 	}
-	return sd
 }
 
 // workGraph returns a mutable copy of the graph at ord, cloning the shared
@@ -247,21 +260,24 @@ func (sd *stagedDoc) apply(m *Mutation, res *ApplyResult) error {
 		res.NodesAdded += g.NumNodes()
 		res.EdgesAdded += g.NumEdges()
 		return nil
+	case OpRegisterDoc:
+		// The caller keeps its graphs: none is owned, so a later mutation in
+		// the batch clones before it writes.
+		sd.coll = append(graph.Collection(nil), m.Coll...)
+		sd.repartition = true
+		sd.indexNames()
+		sd.owned = make(map[int]bool)
+		return nil
 	case OpDropGraph:
 		ord, ok := sd.byName[m.Graph]
 		if !ok {
 			return fmt.Errorf("store: unknown graph %q in document %q", m.Graph, sd.name)
 		}
 		sd.coll = append(sd.coll[:ord:ord], sd.coll[ord+1:]...)
-		sd.dropped = true
+		sd.repartition = true
 		// Ordinals shifted: rebuild the name and ownership maps. Changed
 		// ordinals no longer matter — the commit repartitions from scratch.
-		sd.byName = make(map[string]int, len(sd.coll))
-		for o, g := range sd.coll {
-			if _, dup := sd.byName[g.Name]; !dup {
-				sd.byName[g.Name] = o
-			}
-		}
+		sd.indexNames()
 		next := make(map[int]bool, len(sd.owned))
 		for o := range sd.owned {
 			switch {
@@ -367,7 +383,9 @@ func rebuildWithout(g *graph.Graph, dropNode graph.NodeID, dropEdge graph.EdgeID
 	return ng, removed
 }
 
-// commitApply publishes every staged document under one version bump.
+// commitApply publishes every staged document under one version bump —
+// the only place the store version moves (recovery's seed aside). It
+// copy-on-writes the document map, so published snapshots never change.
 // Caller holds wmu.
 func (s *DocStore) commitApply(st *stagedApply) uint64 {
 	docs := make(map[string]*Doc, len(st.docs))
@@ -375,17 +393,30 @@ func (s *DocStore) commitApply(st *stagedApply) uint64 {
 		docs[name] = s.buildStagedDoc(sd)
 	}
 	obs.MutationsApplied.Add(int64(st.result.Mutations))
-	return s.installAll(docs)
+	obs.StoreMutations.Inc()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next := make(map[string]*Doc, len(s.docs)+len(docs))
+	for k, v := range s.docs {
+		next[k] = v
+	}
+	s.version++
+	for name, d := range docs {
+		d.version = s.version
+		next[name] = d
+	}
+	s.docs = next
+	return s.version
 }
 
 // buildStagedDoc materializes a staged document. The fast path keeps the
 // base partition: node/edge deltas and appended graphs leave every
 // unchanged ordinal in its shard (shardOf depends only on graph name and
 // ordinal), so only the touched shards are rebuilt — with their path
-// indexes updated incrementally. Drops, fresh documents and shard-count
-// changes repartition from scratch.
+// indexes updated incrementally. Drops, registrations, fresh documents and
+// shard-count changes repartition from scratch.
 func (s *DocStore) buildStagedDoc(sd *stagedDoc) *Doc {
-	full := sd.base == nil || sd.dropped
+	full := sd.base == nil || sd.repartition
 	var n int
 	if !full {
 		n = len(sd.base.shards)

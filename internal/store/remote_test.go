@@ -306,10 +306,10 @@ func TestRemoteSelectorMutationResync(t *testing.T) {
 		{Op: store.OpInsertEdge, Doc: "db", Graph: "mut", Name: "xy", From: "x", To: "y"},
 	}
 	ctx := context.Background()
-	if _, err := eng.Docs.(*store.DocStore).ApplyBatch(ctx, batch); err != nil {
+	if _, err := eng.Docs.ApplyBatch(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := oracle.Docs.(*store.DocStore).ApplyBatch(ctx, batch); err != nil {
+	if _, err := oracle.Docs.ApplyBatch(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
 	runBoth("post-mutation")

@@ -6,12 +6,16 @@
 // GraphGrep-style filter of internal/gindex) and serves queries from
 // immutable snapshots:
 //
-//   - Versioning: the store carries a monotonic version, bumped by every
-//     RegisterDoc/RemoveDoc and every committed mutation batch; each
-//     document it touches is stamped with the new value. Result-cache keys
-//     record the version of each document a program read (cache.go), so a
-//     write invalidates only the cached results that read the written
-//     document.
+//   - Versioning: every write is a mutation batch committed by ApplyBatch
+//     (mutation.go) — RegisterDoc is the one-mutation batch OpRegisterDoc —
+//     and each commit bumps a monotonic store version and stamps every
+//     document it touches with the new value. Result-cache keys record the
+//     version of each document a program read (cache.go), so a write
+//     invalidates only the cached results that read the written document.
+//   - Durability: OpenDurable (durable.go) recovers a store from a
+//     checkpoint plus write-ahead log (wal.go) and attaches the log, so
+//     every later batch, registrations included, is logged before it
+//     commits.
 //   - Snapshots: readers take a Snapshot — an immutable view of all
 //     documents at one version. In-flight queries keep their snapshot for
 //     the whole program, so a concurrent mutation never tears a result.
@@ -22,6 +26,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -29,7 +34,6 @@ import (
 
 	"gqldb/internal/gindex"
 	"gqldb/internal/graph"
-	"gqldb/internal/obs"
 )
 
 // Options configures a DocStore.
@@ -46,42 +50,33 @@ type Options struct {
 	IndexMaxLen int
 }
 
-// Store is the engine-facing interface of the document layer: versioned
-// reads through consistent snapshots and versioned writes. DocStore is the
-// in-process implementation; the interface is the seam a future
-// multi-process deployment implements with an RPC client.
-type Store interface {
-	// Snapshot returns an immutable view of every document at one version.
-	Snapshot() *Snapshot
-	// Version returns the current store version.
-	Version() uint64
-	// RegisterDoc binds name to the collection (replacing any previous
-	// binding), bumps the store version and returns it.
-	RegisterDoc(name string, c graph.Collection) uint64
-	// RemoveDoc unbinds name (a no-op bump if absent) and returns the new
-	// version.
-	RemoveDoc(name string) uint64
-}
-
-// DocStore is the in-process Store: a copy-on-write document map under a
-// mutex. Writes clone the map (documents themselves are immutable after
-// registration), so snapshots are O(1) pointer grabs and never block
-// queries; RegisterDoc is safe to call while queries run.
+// DocStore is the document store: a copy-on-write document map under a
+// mutex. Every write is a mutation batch committed through ApplyBatch
+// (RegisterDoc is a one-mutation batch), which clones the map (documents
+// themselves are immutable after commit), so snapshots are O(1) pointer
+// grabs and never block queries; writes are safe while queries run. A
+// store opened with OpenDurable also has a write-ahead log attached, and
+// every batch is logged before it commits.
 type DocStore struct {
 	opts Options
 
-	// wmu serializes writers (RegisterDoc, RemoveDoc, Apply): a staged
-	// mutation batch must commit against the exact state it was computed
-	// from, so writers are mutually exclusive end-to-end while readers keep
-	// going through mu. Lock order: wmu before mu.
+	// wmu serializes writers (ApplyBatch, Checkpoint): a staged mutation
+	// batch must commit against the exact state it was computed from, so
+	// writers are mutually exclusive end-to-end while readers keep going
+	// through mu. Lock order: wmu before mu.
 	wmu sync.Mutex
+	// wal, dir and checkpointEvery are set by OpenDurable once recovery is
+	// done (nil wal: an in-memory store). Guarded by wmu.
+	wal             *WAL
+	dir             string
+	checkpointEvery int
 
 	mu      sync.RWMutex
 	version uint64
 	docs    map[string]*Doc
 }
 
-// New returns an empty DocStore with the given options.
+// New returns an empty in-memory DocStore with the given options.
 func New(opts Options) *DocStore {
 	if opts.Shards < 1 {
 		opts.Shards = 1
@@ -101,7 +96,8 @@ func FromMap(m map[string]graph.Collection) *DocStore {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		s.RegisterDoc(name, m[name])
+		// Without a WAL a registration cannot fail.
+		_, _ = s.RegisterDoc(name, m[name])
 	}
 	return s
 }
@@ -120,65 +116,19 @@ func (s *DocStore) Version() uint64 {
 	return s.version
 }
 
-// RegisterDoc partitions c into the store's shard count (building per-shard
-// indexes when configured), installs it under name and bumps the version.
-// The collection slice is captured as the document's canonical order; do
-// not mutate it (or its graphs) after registration.
-func (s *DocStore) RegisterDoc(name string, c graph.Collection) uint64 {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	b := NewDocBuilder(name, s.opts.Shards, s.opts.IndexMaxLen)
-	for _, g := range c {
-		b.Add(g)
+// RegisterDoc binds name to c, replacing any previous binding, as the
+// one-mutation batch OpRegisterDoc: the document is partitioned into the
+// store's shard count (building per-shard indexes when configured), the
+// version bumps, and with a WAL attached the registration is logged
+// before it commits. It returns the new store version. The collection is
+// captured as the document's canonical order; do not mutate its graphs
+// after registration.
+func (s *DocStore) RegisterDoc(name string, c graph.Collection) (uint64, error) {
+	res, err := s.ApplyBatch(context.Background(), []Mutation{{Op: OpRegisterDoc, Doc: name, Coll: c}})
+	if err != nil {
+		return 0, err
 	}
-	return s.install(name, b.Build())
-}
-
-// RemoveDoc unbinds name and bumps the version.
-func (s *DocStore) RemoveDoc(name string) uint64 {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return s.install(name, nil)
-}
-
-// install copy-on-writes the document map: d == nil removes the binding.
-// Callers hold wmu.
-func (s *DocStore) install(name string, d *Doc) uint64 {
-	obs.StoreMutations.Inc()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	next := make(map[string]*Doc, len(s.docs)+1)
-	for k, v := range s.docs {
-		next[k] = v
-	}
-	s.version++
-	if d == nil {
-		delete(next, name)
-	} else {
-		d.version = s.version
-		next[name] = d
-	}
-	s.docs = next
-	return s.version
-}
-
-// installAll publishes a staged batch's touched documents under one
-// version bump — the all-or-nothing commit of Apply. Callers hold wmu.
-func (s *DocStore) installAll(docs map[string]*Doc) uint64 {
-	obs.StoreMutations.Inc()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	next := make(map[string]*Doc, len(s.docs)+len(docs))
-	for k, v := range s.docs {
-		next[k] = v
-	}
-	s.version++
-	for name, d := range docs {
-		d.version = s.version
-		next[name] = d
-	}
-	s.docs = next
-	return s.version
+	return res.Version, nil
 }
 
 // seed restores a checkpointed state without version bumps or cache
@@ -234,9 +184,9 @@ type Doc struct {
 	coll   graph.Collection
 	shards []*Shard
 
-	// version is the store version at which the document was installed
-	// (0 for documents built outside a store). Set by install before the
-	// document is published; immutable afterwards.
+	// version is the store version at which the document was committed
+	// (0 for documents built outside a store). Set by commitApply before
+	// the document is published; immutable afterwards.
 	version uint64
 
 	// statsOnce guards the lazy attribute-inventory computation; the

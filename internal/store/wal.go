@@ -1,5 +1,5 @@
 // Append-only write-ahead log for mutation batches. Every committed
-// Apply batch is framed as one record:
+// ApplyBatch batch is framed as one record:
 //
 //	header:  magic "GQLW", version byte
 //	record:  u32 LE payload length | payload | u32 LE CRC-32 (IEEE) of payload
@@ -7,7 +7,8 @@
 //	         uvarint mutation count
 //	         per mutation: op byte, doc, graph, name, from, to (GQLB strings),
 //	                       attrs (GQLB tuple), body flag + length-prefixed
-//	                       GQLB collection when present
+//	                       GQLB collection when present (one graph; the
+//	                       whole document for register doc)
 //
 // Records are self-checking: on open the log is scanned, and a torn or
 // corrupt tail (partial frame from a crash mid-write, CRC mismatch) is
@@ -16,8 +17,9 @@
 // decides whether each append is fsynced before the caller proceeds
 // (durable-before-acknowledge) or left to the OS.
 //
-// A WAL is single-writer and not goroutine-safe: the Durable store calls
-// it with the store's writer lock held (enforced by gqlvet's gosafe table).
+// A WAL is single-writer and not goroutine-safe: a DocStore opened with
+// OpenDurable calls it from ApplyBatch and Checkpoint with the store's
+// writer lock held (enforced by gqlvet's gosafe table).
 package store
 
 import (
@@ -224,12 +226,16 @@ func encodeWALPayload(seq uint64, muts []Mutation) ([]byte, error) {
 		if err := graph.WriteTuple(bw, m.Attrs); err != nil {
 			return nil, err
 		}
-		if m.Body == nil {
+		body, present := graph.Collection{m.Body}, m.Body != nil
+		if m.Op == OpRegisterDoc {
+			body, present = m.Coll, true
+		}
+		if !present {
 			bw.WriteByte(0)
 		} else {
 			bw.WriteByte(1)
 			var gb bytes.Buffer
-			if err := graph.WriteBinary(&gb, graph.Collection{m.Body}); err != nil {
+			if err := graph.WriteBinary(&gb, body); err != nil {
 				return nil, err
 			}
 			uv(uint64(gb.Len()))
@@ -317,10 +323,14 @@ func decodeWALPayload(payload []byte) (WALRecord, error) {
 			if err != nil {
 				return rec, err
 			}
-			if len(coll) != 1 {
+			switch {
+			case m.Op == OpRegisterDoc:
+				m.Coll = coll
+			case len(coll) != 1:
 				return rec, fmt.Errorf("store: wal: body holds %d graphs, want 1", len(coll))
+			default:
+				m.Body = coll[0]
 			}
-			m.Body = coll[0]
 		}
 		rec.Muts = append(rec.Muts, m)
 	}

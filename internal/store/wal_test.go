@@ -171,31 +171,37 @@ func TestWALRejectsForeignAndUndecodable(t *testing.T) {
 
 func durableOpts(dir string) (store.Options, store.DurableOptions) {
 	return store.Options{Shards: 4, IndexMaxLen: 2}, store.DurableOptions{
-			Dir:             dir,
-			Sync:            true,
-			CheckpointEvery: 3,
-			Bootstrap: func(s *store.DocStore) error {
-				if _, ok := s.Snapshot().Doc("db"); !ok {
-					s.RegisterDoc("db", randomCollection(4, 42))
-				}
-				return nil
-			},
-		}
+		Dir:             dir,
+		Sync:            true,
+		CheckpointEvery: 3,
+		Bootstrap: func(s *store.DocStore) error {
+			if _, ok := s.Snapshot().Doc("db"); !ok {
+				s.RegisterDoc("db", randomCollection(4, 42))
+			}
+			return nil
+		},
+	}
 }
 
 // crashBatch returns the deterministic i-th mutation batch of the crash
-// workload. Batches build graphs continuously and periodically delete
-// nodes and drop whole graphs, so recovery exercises both the incremental
-// and full-repartition commit paths.
+// workload. Batches build graphs continuously, periodically delete nodes,
+// drop whole graphs and replace the whole "aux" document (register
+// records, followed in the same batch by a create on the fresh document),
+// so recovery exercises both the incremental and full-repartition commit
+// paths.
 func crashBatch(i int) []store.Mutation {
 	g := fmt.Sprintf("m%d", i)
-	muts := []store.Mutation{
+	var muts []store.Mutation
+	if i%3 == 1 {
+		muts = append(muts, store.Mutation{Op: store.OpRegisterDoc, Doc: "aux", Coll: randomCollection(3, int64(i))})
+	}
+	muts = append(muts, []store.Mutation{
 		{Op: store.OpCreateGraph, Doc: "db", Graph: g, Attrs: graph.TupleOf("", "batch", int64(i))},
 		{Op: store.OpInsertNode, Doc: "db", Graph: g, Name: "a", Attrs: graph.TupleOf("", "label", "A")},
 		{Op: store.OpInsertNode, Doc: "db", Graph: g, Name: "b", Attrs: graph.TupleOf("", "label", "B")},
 		{Op: store.OpInsertEdge, Doc: "db", Graph: g, Name: "e", From: "a", To: "b"},
 		{Op: store.OpCreateGraph, Doc: "aux", Graph: g},
-	}
+	}...)
 	if i > 4 && i%4 == 0 {
 		muts = append(muts, store.Mutation{Op: store.OpDeleteNode, Doc: "db", Graph: fmt.Sprintf("m%d", i-1), Name: "a"})
 	}
@@ -239,7 +245,7 @@ func TestDurableRecovery(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	want := storeFingerprint(t, d.DocStore)
+	want := storeFingerprint(t, d)
 	d.Close()
 
 	// CheckpointEvery=3 means recovery combines a snapshot with a WAL
@@ -249,7 +255,7 @@ func TestDurableRecovery(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer d2.Close()
-	if got := storeFingerprint(t, d2.DocStore); got != want {
+	if got := storeFingerprint(t, d2); got != want {
 		t.Fatalf("recovered state diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 
@@ -360,7 +366,7 @@ func TestWALCrashRecovery(t *testing.T) {
 			t.Fatalf("oracle batch %d: %v", i, err)
 		}
 	}
-	want, got := storeFingerprint(t, oracle), storeFingerprint(t, d.DocStore)
+	want, got := storeFingerprint(t, oracle), storeFingerprint(t, d)
 	if want != got {
 		t.Fatalf("post-crash state diverged from oracle:\n--- oracle ---\n%s--- recovered ---\n%s", want, got)
 	}
@@ -382,5 +388,44 @@ func walCrashChild(dir string) {
 			os.Exit(1)
 		}
 		fmt.Printf("ACK %d\n", i)
+	}
+}
+
+// TestDurableRuntimeRegister: a RegisterDoc on an open durable store is a
+// logged batch like any other, so the document survives reopen — alone,
+// and followed by a mutation batch whose record must still follow the
+// store version on replay.
+func TestDurableRuntimeRegister(t *testing.T) {
+	for _, then := range []string{"alone", "then_batch"} {
+		t.Run(then, func(t *testing.T) {
+			sopts, dopts := durableOpts(t.TempDir())
+			dopts.CheckpointEvery = -1 // recovery must come from the WAL
+			d, err := store.OpenDurable(sopts, dopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.RegisterDoc("runtime", randomCollection(5, 7)); err != nil {
+				t.Fatal(err)
+			}
+			if then == "then_batch" {
+				if _, err := d.ApplyBatch(context.Background(), crashBatch(2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := storeFingerprint(t, d)
+			d.Close()
+
+			d2, err := store.OpenDurable(sopts, dopts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer d2.Close()
+			if _, ok := d2.Snapshot().Doc("runtime"); !ok {
+				t.Fatal("runtime registration lost on reopen")
+			}
+			if got := storeFingerprint(t, d2); got != want {
+				t.Fatalf("recovered state diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
+			}
+		})
 	}
 }
