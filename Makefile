@@ -52,9 +52,12 @@ test-walcrash:
 race:
 	$(GO) test -race ./...
 
-## vet: run the standard toolchain vet
+## vet: run the standard toolchain vet, and fail if gofmt would rewrite any
+## Go file outside testdata
 vet:
 	$(GO) vet ./...
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -print0 | xargs -0 gofmt -l); \
+		if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 ## gqlvet: run the project-specific analyzers (internal/analysis) over
 ## the module, _test.go files included; non-zero exit on any finding

@@ -118,7 +118,7 @@ func main() {
 	shardRetries := flag.Int("shard-retries", 2, "retry budget per shard beyond the first attempt (each retry rotates to the next replica)")
 	hedgeAfter := flag.Duration("shard-hedge-after", 0, "fire a duplicate shard RPC at the next replica after this delay (0 disables hedging)")
 	allowPartial := flag.Bool("allow-partial", false, "degrade a dead shard to an empty answer instead of failing the query")
-	probeEvery := flag.Duration("shard-probe-interval", 5*time.Second, "background health-probe interval for shard endpoints")
+	probeEvery := flag.Duration("shard-probe-interval", 5*time.Second, "background health-probe interval for shard endpoints (<= 0: probe once at startup, no background probing)")
 	admin := flag.Bool("admin", false, "mount the mutating admin surface (POST /admin/doc, POST /v2/mutate)")
 	walDir := flag.String("wal", "", "durability directory; mutations append to a write-ahead log there and replay on restart")
 	walSync := flag.Bool("wal-sync", true, "fsync the WAL before acknowledging each mutation batch")

@@ -41,7 +41,6 @@ import (
 	"gqldb/internal/obs"
 	"gqldb/internal/parser"
 	"gqldb/internal/pattern"
-	"gqldb/internal/reach"
 	"gqldb/internal/server"
 	"gqldb/internal/shardsrv"
 	"gqldb/internal/store"
@@ -352,17 +351,6 @@ type CollectionIndex = gindex.Index
 // (3 is a good default) for every graph in the collection.
 func BuildCollectionIndex(c Collection, maxLen int) *CollectionIndex {
 	return gindex.Build(c, maxLen)
-}
-
-// Reachability is a reachability index over one directed graph (SCC
-// condensation plus interval labelings), the access method for recursive
-// path patterns.
-type Reachability = reach.Index
-
-// BuildReachability constructs a reachability index with k randomized
-// labelings (0 = default) and a deterministic seed.
-func BuildReachability(g *Graph, k int, seed int64) *Reachability {
-	return reach.New(g, k, seed)
 }
 
 // ParseExpr parses a predicate expression in the language's where-clause

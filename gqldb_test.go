@@ -135,22 +135,6 @@ func TestFacadeCollectionIndex(t *testing.T) {
 	}
 }
 
-func TestFacadeReachability(t *testing.T) {
-	g := NewDirectedGraph("D")
-	a := g.AddNode("", TupleOf("", "label", "A"))
-	b := g.AddNode("", TupleOf("", "label", "B"))
-	c := g.AddNode("", TupleOf("", "label", "C"))
-	g.AddEdge("", a, b, nil)
-	g.AddEdge("", b, c, nil)
-	rx := BuildReachability(g, 0, 1)
-	if !rx.CanReach(a, c) || rx.CanReach(c, a) {
-		t.Error("reachability wrong")
-	}
-	if pairs := rx.PathPairs("A", "C"); len(pairs) != 1 {
-		t.Errorf("PathPairs = %v", pairs)
-	}
-}
-
 func TestFacadeServer(t *testing.T) {
 	store := Store{}
 	g := NewGraph("G")

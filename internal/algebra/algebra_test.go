@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"testing"
 
 	"gqldb/internal/expr"
@@ -38,7 +39,7 @@ func fig48(t *testing.T) *pattern.Pattern {
 func TestSelectionFig49(t *testing.T) {
 	// The pattern of Fig 4.8 matches the graph of Fig 4.7 with
 	// Φ(P.v1)→G.v2, Φ(P.v2)→G.v1.
-	ms, err := Selection(fig48(t), graph.NewCollection(fig47()), match.Options{Exhaustive: true}, nil)
+	ms, err := SelectionContext(context.Background(), fig48(t), graph.NewCollection(fig47()), match.Options{Exhaustive: true}, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestSelectionFig49(t *testing.T) {
 // edge e1 (v1,v2); } applied to the Fig 4.8/4.7 binding yields nodes
 // labelled "A" and "Title1" joined by an edge.
 func TestTemplateFig411(t *testing.T) {
-	ms, err := Selection(fig48(t), graph.NewCollection(fig47()), match.Options{Exhaustive: true}, nil)
+	ms, err := SelectionContext(context.Background(), fig48(t), graph.NewCollection(fig47()), match.Options{Exhaustive: true}, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestTemplateFig411(t *testing.T) {
 			TEdge{Name: "e1", From: []string{"v1"}, To: []string{"v2"}},
 		},
 	}
-	out, err := Compose(tmpl, "P", ms)
+	out, err := ComposeContext(context.Background(), tmpl, "P", ms, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestCartesianProduct(t *testing.T) {
 	a := g2.AddNode("a", nil)
 	b := g2.AddNode("b", nil)
 	g2.AddEdge("", a, b, nil)
-	prod, err := CartesianProduct(graph.NewCollection(g1, g1), graph.NewCollection(g2))
+	prod, err := CartesianProductContext(context.Background(), graph.NewCollection(g1, g1), graph.NewCollection(g2), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestValuedJoinFig410(t *testing.T) {
 	pred := eq(nm("a1n", "gid"), nm("b1n", "gid"))
 	_ = pred
 	// Simpler: join where the merged graph attr id equals 1 (left wins).
-	out, err := ValuedJoin(c, d, eq(nm("id"), expr.Lit{Val: graph.Int(1)}))
+	out, err := ValuedJoinContext(context.Background(), c, d, eq(nm("id"), expr.Lit{Val: graph.Int(1)}), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestValuedJoinOnNodeAttrs(t *testing.T) {
 	}
 	c := graph.NewCollection(mk("x", "1"), mk("x", "2"))
 	d := graph.NewCollection(mk("y", "2"), mk("y", "3"))
-	out, err := ValuedJoin(c, d, eq(nm("x", "k"), nm("y", "k")))
+	out, err := ValuedJoinContext(context.Background(), c, d, eq(nm("x", "k"), nm("y", "k")), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,39 +183,6 @@ func TestSetOperators(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	p := pattern.New("P")
-	p.AddNode("v1", graph.NewTuple("author"), nil)
-	c := graph.NewCollection(fig47())
-	out, err := Project(c, p, [][]string{{"v1", "name"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].NumNodes() != 1 {
-		t.Fatalf("projection shape wrong")
-	}
-	if got := out[0].Node(0).Attrs.GetOr("name").AsString(); got != "A" && got != "B" {
-		t.Errorf("projected name = %q", got)
-	}
-}
-
-func TestRename(t *testing.T) {
-	c := graph.NewCollection(fig47())
-	out := Rename(c, "name", "author_name")
-	v2, _ := out[0].NodeByName("v2")
-	if out[0].Node(v2).Attrs.GetOr("author_name").AsString() != "A" {
-		t.Error("rename lost value")
-	}
-	if _, ok := out[0].Node(v2).Attrs.Get("name"); ok {
-		t.Error("old attribute still present")
-	}
-	// Original untouched.
-	g0, _ := c[0].NodeByName("v2")
-	if _, ok := c[0].Node(g0).Attrs.Get("name"); !ok {
-		t.Error("rename mutated input")
-	}
-}
-
 // dblp builds the two-paper DBLP collection of Figure 4.13.
 func dblp() graph.Collection {
 	g1 := graph.New("G1")
@@ -242,7 +210,7 @@ func TestCoauthorshipFig413(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms, err := Selection(p, dblp(), match.Options{Exhaustive: true}, nil)
+	ms, err := SelectionContext(context.Background(), p, dblp(), match.Options{Exhaustive: true}, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

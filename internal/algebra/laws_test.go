@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -49,7 +50,7 @@ func labelPattern(label string) *pattern.Pattern {
 // countSelect returns |σ_P(C)| with exhaustive matching.
 func countSelect(t *testing.T, p *pattern.Pattern, c graph.Collection) int {
 	t.Helper()
-	ms, err := Selection(p, c, match.Options{Exhaustive: true}, nil)
+	ms, err := SelectionContext(context.Background(), p, c, match.Options{Exhaustive: true}, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestProductCardinality(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := randomSmallGraphs(rng, 3)
 	d := randomSmallGraphs(rng, 4)
-	prod, err := CartesianProduct(c, d)
+	prod, err := CartesianProductContext(context.Background(), c, d, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +154,11 @@ func TestJoinEqualsSelectOverProduct(t *testing.T) {
 	pred := expr.Binary{Op: expr.OpEq,
 		L: expr.Name{Parts: []string{"id"}},
 		R: expr.Lit{Val: graph.Int(1)}}
-	joined, err := ValuedJoin(c, d, pred)
+	joined, err := ValuedJoinContext(context.Background(), c, d, pred, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := CartesianProduct(c, d)
+	prod, err := CartesianProductContext(context.Background(), c, d, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 // Package algebra implements the bulk graph algebra of GraphQL (§3.3):
 // selection generalized to graph pattern matching, Cartesian product,
 // valued and structural join, composition via graph templates, and the set
-// operators, together with projection and renaming as derived operators.
-// Every operator consumes and produces collections of graphs.
+// operators. Every operator consumes and produces collections of graphs.
+// Each bulk operator exists only in its ...Context form, which takes a
+// context and a worker count (1 is the serial path). Projection and renaming
+// are derived from composition (§3.3) and so are written as a return
+// template, not as operators of their own.
 package algebra
 
 import (
-	"context"
 	"fmt"
 
 	"gqldb/internal/graph"
@@ -91,12 +93,4 @@ func (ms Matched) Graphs() graph.Collection {
 		out[i] = m.InducedGraph()
 	}
 	return out
-}
-
-// Selection evaluates σ_P(C): every graph in the collection is matched
-// against p and each binding becomes a matched graph (§3.3). The
-// "exhaustive" option controls one-vs-all bindings per graph. ixFor may be
-// nil or return nil; when present it supplies per-graph access structures.
-func Selection(p *pattern.Pattern, c graph.Collection, opt match.Options, ixFor func(*graph.Graph) *match.Index) (Matched, error) {
-	return SelectionContext(context.Background(), p, c, opt, ixFor, 1, nil)
 }

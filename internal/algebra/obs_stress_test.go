@@ -32,11 +32,11 @@ func TestSharedTraceSinkRace(t *testing.T) {
 	opt := match.Options{Exhaustive: true}
 	pred := expr.Binary{Op: expr.OpEq, L: expr.Name{Parts: []string{"size"}}, R: expr.Lit{Val: graph.Int(1)}}
 
-	wantSel, err := Selection(p, c, opt, nil)
+	wantSel, err := SelectionContext(context.Background(), p, c, opt, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJoin, err := ValuedJoin(c, d, pred)
+	wantJoin, err := ValuedJoinContext(context.Background(), c, d, pred, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,10 @@
 package algebra
 
 import (
-	"context"
 	"fmt"
 
-	"gqldb/internal/expr"
 	"gqldb/internal/graph"
-	"gqldb/internal/match"
-	"gqldb/internal/pattern"
 )
-
-// CartesianProduct computes C × D: each output graph is
-// graph { graph G1, G2; } — the two constituent graphs, unconnected (§3.3).
-// It is the serial form of CartesianProductContext.
-func CartesianProduct(c, d graph.Collection) (graph.Collection, error) {
-	return CartesianProductContext(context.Background(), c, d, 1, nil)
-}
 
 // mergeAttrs combines two graph tuples; the left side wins on conflicts.
 func mergeAttrs(a, b *graph.Tuple) *graph.Tuple {
@@ -30,15 +19,6 @@ func mergeAttrs(a, b *graph.Tuple) *graph.Tuple {
 		}
 	}
 	return out
-}
-
-// ValuedJoin computes C ⋈_P D as σ_P(C × D): the join condition is a
-// predicate over attributes of the constituent graphs; the constituents
-// stay unconnected (§3.3). The predicate's names are resolved against the
-// product graph (node attributes via embedded node names, graph attributes
-// bare).
-func ValuedJoin(c, d graph.Collection, pred expr.Expr) (graph.Collection, error) {
-	return ValuedJoinContext(context.Background(), c, d, pred, 1, nil)
 }
 
 // graphEnv resolves names against one plain graph: v.attr for a node (or
@@ -59,20 +39,6 @@ func (e graphEnv) Resolve(parts []string) (graph.Value, error) {
 		}
 	}
 	return graph.Null, fmt.Errorf("algebra: cannot resolve %v in graph %s", parts, e.g.Name)
-}
-
-// Compose is the primitive composition operator ω_T(C): instantiate the
-// single-parameter template for every matched graph in the collection
-// (§3.3). Param is the template's formal parameter name.
-func Compose(t *Template, param string, c Matched) (graph.Collection, error) {
-	return ComposeContext(context.Background(), t, param, c, 1, nil)
-}
-
-// StructuralJoin joins two collections by instantiating a two-parameter
-// template for every pair — Cartesian product followed by composition,
-// generating new structure (concatenation by edges or unification).
-func StructuralJoin(t *Template, p1, p2 string, c, d Matched) (graph.Collection, error) {
-	return StructuralJoinContext(context.Background(), t, p1, p2, c, d, 1, nil)
 }
 
 // Union computes C ∪ D with set semantics up to graph signature.
@@ -111,49 +77,4 @@ func Difference(c, d graph.Collection) graph.Collection {
 // difference: C ∩ D = C − (C − D).
 func Intersection(c, d graph.Collection) graph.Collection {
 	return Difference(c, Difference(c, d))
-}
-
-// Project is the derived projection operator (Theorem 4.5): for every graph
-// in the collection, select with pattern p and rewrite the named attributes
-// into a fresh single-node graph via composition.
-func Project(c graph.Collection, p *pattern.Pattern, attrs [][]string) (graph.Collection, error) {
-	sel, err := Selection(p, c, match.Options{Exhaustive: false}, nil)
-	if err != nil {
-		return nil, err
-	}
-	t := &Template{Name: "proj"}
-	node := TNode{Name: "v"}
-	for _, a := range attrs {
-		node.Attrs = append(node.Attrs, AttrTemplate{
-			Name: a[len(a)-1],
-			E:    expr.Name{Parts: append([]string{p.Name}, a...)},
-		})
-	}
-	t.Members = append(t.Members, node)
-	return Compose(t, p.Name, sel)
-}
-
-// Rename returns copies of the graphs with attribute old renamed to new on
-// every node; a derived operator built on composition semantics.
-func Rename(c graph.Collection, oldName, newName string) graph.Collection {
-	out := make(graph.Collection, len(c))
-	for i, g := range c {
-		ng := g.Clone()
-		for _, n := range ng.Nodes() {
-			if v, ok := n.Attrs.Get(oldName); ok {
-				attrs := graph.NewTuple(n.Attrs.Tag)
-				for j := 0; j < n.Attrs.Len(); j++ {
-					a := n.Attrs.At(j)
-					if a.Name == oldName {
-						attrs.Set(newName, v)
-					} else {
-						attrs.Set(a.Name, a.Val)
-					}
-				}
-				ng.Node(n.ID).Attrs = attrs
-			}
-		}
-		out[i] = ng
-	}
-	return out
 }

@@ -39,7 +39,7 @@ func sumInts(xs []int) int64 {
 //   - workers <= 0 means GOMAXPROCS, workers == 1 is the serial path; either
 //     way the context is polled at least once per work item, and selection
 //     additionally polls inside every backtracking step via match.FindContext.
-//   - Output order is byte-identical to the serial operator: work is
+//   - Output order is byte-identical to workers == 1: work is
 //     index-addressed into pre-sized slots (pool.Run), then concatenated in
 //     input order. Parallelism never changes a result.
 //   - On error the operator returns the same error the serial evaluation
@@ -138,10 +138,12 @@ func SelectStream(ctx context.Context, p *pattern.Pattern, c graph.Collection, c
 	return nil
 }
 
-// SelectionContext evaluates σ_P(C) like Selection with cancellation and a
-// bounded worker pool: the collect form of SelectStream over the whole
-// collection. Matched graphs stay grouped by collection order with bindings
-// in discovery order.
+// SelectionContext evaluates σ_P(C): every graph in the collection is matched
+// against p and each binding becomes a matched graph (§3.3). It is the
+// collect form of SelectStream over the whole collection. Matched graphs stay
+// grouped by collection order with bindings in discovery order. The
+// "exhaustive" option controls one-vs-all bindings per graph; ixFor may be
+// nil or return nil, and when present supplies per-graph access structures.
 func SelectionContext(ctx context.Context, p *pattern.Pattern, c graph.Collection, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int, stats *match.Stats) (Matched, error) {
 	var out Matched
 	start := time.Now()
@@ -159,9 +161,10 @@ func SelectionContext(ctx context.Context, p *pattern.Pattern, c graph.Collectio
 	return out, nil
 }
 
-// CartesianProductContext computes C × D like CartesianProduct on a worker
-// pool: pair (i, j) is instantiated into slot i*|D|+j, so the output order
-// is exactly the serial nested-loop order.
+// CartesianProductContext computes C × D: each output graph is
+// graph { graph G1, G2; } — the two constituent graphs, unconnected (§3.3).
+// Pair (i, j) is instantiated into slot i*|D|+j, so the output order is
+// exactly the serial nested-loop order.
 func CartesianProductContext(ctx context.Context, c, d graph.Collection, workers int, stats *match.Stats) (graph.Collection, error) {
 	t := &Template{Name: "", Members: []TMember{TGraph{Var: "G1"}, TGraph{Var: "G2"}}}
 	n := len(c) * len(d)
@@ -190,10 +193,12 @@ func CartesianProductContext(ctx context.Context, c, d graph.Collection, workers
 	return out, nil
 }
 
-// ValuedJoinContext computes C ⋈_P D = σ_P(C × D) on a worker pool: each
-// pair is built and filtered in one parallel step (slot left nil when the
-// predicate rejects), then compacted in pair order — the same sequence the
-// serial ValuedJoin emits.
+// ValuedJoinContext computes C ⋈_P D = σ_P(C × D): the join condition is a
+// predicate over attributes of the constituent graphs, which stay
+// unconnected (§3.3). The predicate's names are resolved against the product
+// graph (node attributes via embedded node names, graph attributes bare).
+// Each pair is built and filtered in one parallel step (slot left nil when
+// the predicate rejects), then compacted in pair order.
 func ValuedJoinContext(ctx context.Context, c, d graph.Collection, pred expr.Expr, workers int, stats *match.Stats) (graph.Collection, error) {
 	if pred == nil {
 		return CartesianProductContext(ctx, c, d, workers, stats)
@@ -239,8 +244,10 @@ func ValuedJoinContext(ctx context.Context, c, d graph.Collection, pred expr.Exp
 	return out, nil
 }
 
-// ComposeContext computes ω_T(C) like Compose on a worker pool; slot i holds
-// the instantiation for matched graph i, preserving collection order.
+// ComposeContext is the primitive composition operator ω_T(C): instantiate
+// the single-parameter template for every matched graph in the collection
+// (§3.3). Param is the template's formal parameter name. Slot i holds the
+// instantiation for matched graph i, preserving collection order.
 func ComposeContext(ctx context.Context, t *Template, param string, c Matched, workers int, stats *match.Stats) (graph.Collection, error) {
 	workers = pool.Workers(workers, len(c))
 	out := make(graph.Collection, len(c))
@@ -262,8 +269,10 @@ func ComposeContext(ctx context.Context, t *Template, param string, c Matched, w
 	return out, nil
 }
 
-// StructuralJoinContext joins like StructuralJoin on a worker pool: pair
-// (i, j) instantiates into slot i*|D|+j, matching the serial pair order.
+// StructuralJoinContext joins two collections by instantiating a
+// two-parameter template for every pair — Cartesian product followed by
+// composition, generating new structure (concatenation by edges or
+// unification). Pair (i, j) instantiates into slot i*|D|+j.
 func StructuralJoinContext(ctx context.Context, t *Template, p1, p2 string, c, d Matched, workers int, stats *match.Stats) (graph.Collection, error) {
 	n := len(c) * len(d)
 	workers = pool.Workers(workers, n)

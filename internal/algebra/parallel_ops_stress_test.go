@@ -47,7 +47,7 @@ func TestParallelProductOrder(t *testing.T) {
 		t.Skip("stress test; skipped in -short")
 	}
 	c, d := bigCollection(24), bigCollection(17)
-	want, err := CartesianProduct(c, d)
+	want, err := CartesianProductContext(context.Background(), c, d, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestParallelValuedJoinOrder(t *testing.T) {
 		g.Attrs = graph.TupleOf("", "size", int64(j%3))
 	}
 	pred := expr.Binary{Op: expr.OpEq, L: expr.Name{Parts: []string{"size"}}, R: expr.Lit{Val: graph.Int(1)}}
-	want, err := ValuedJoin(c, d, pred)
+	want, err := ValuedJoinContext(context.Background(), c, d, pred, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestParallelComposeOrder(t *testing.T) {
 	}
 	c := bigCollection(120)
 	p := edgePattern()
-	ms, err := Selection(p, c, match.Options{Exhaustive: true}, nil)
+	ms, err := SelectionContext(context.Background(), p, c, match.Options{Exhaustive: true}, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestParallelComposeOrder(t *testing.T) {
 		TNode{Ref: []string{"P", "b"}},
 		TEdge{From: []string{"P", "a"}, To: []string{"P", "b"}},
 	}}
-	want, err := Compose(tmpl, "P", ms)
+	want, err := ComposeContext(context.Background(), tmpl, "P", ms, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestParallelStructuralJoinOrder(t *testing.T) {
 	}
 	c := bigCollection(40)
 	p := edgePattern()
-	ms, err := Selection(p, c, match.Options{Exhaustive: true}, nil)
+	ms, err := SelectionContext(context.Background(), p, c, match.Options{Exhaustive: true}, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestParallelStructuralJoinOrder(t *testing.T) {
 		TNode{Ref: []string{"R", "b"}},
 		TEdge{From: []string{"L", "a"}, To: []string{"R", "b"}},
 	}}
-	want, err := StructuralJoin(tmpl, "L", "R", left, right)
+	want, err := StructuralJoinContext(context.Background(), tmpl, "L", "R", left, right, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestParallelOpsConcurrentCallers(t *testing.T) {
 	if err := p.Compile(); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := Selection(p, c, match.Options{Exhaustive: true}, nil)
+	ms, err := SelectionContext(context.Background(), p, c, match.Options{Exhaustive: true}, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestParallelOpsMidFlightCancellation(t *testing.T) {
 	}
 	c, d := bigCollection(60), bigCollection(60)
 	p := edgePattern()
-	ms, err := Selection(p, c, match.Options{Exhaustive: true}, nil)
+	ms, err := SelectionContext(context.Background(), p, c, match.Options{Exhaustive: true}, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

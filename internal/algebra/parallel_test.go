@@ -103,7 +103,7 @@ func BenchmarkSelection(b *testing.B) {
 	opt := match.Options{Exhaustive: true}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Selection(p, c, opt, nil); err != nil {
+			if _, err := SelectionContext(context.Background(), p, c, opt, nil, 1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,7 +11,7 @@
 //     or write captured variables without index partitioning
 //   - errwrap: exported internal functions returning error must package-
 //     prefix their messages or wrap with %w
-//   - recbound: every recursive call in match/motif/reach must decrement a
+//   - recbound: every recursive call in match/motif must decrement a
 //     depth/budget argument or sit behind a dominating limit/cancellation
 //     check
 //   - ctxpoll: unbounded loops in match/algebra/pool/store must poll

@@ -55,8 +55,8 @@ var timingSinkTypes = map[string]bool{
 }
 
 // randConstructors are the math/rand functions that build a seeded,
-// deterministic generator — the sanctioned form (reach's sampling
-// estimator depends on rand.New(rand.NewSource(seed))). Everything else at
+// deterministic generator — the sanctioned form (internal/gen's graph
+// generators depend on rand.New(rand.NewSource(seed))). Everything else at
 // package level draws from the global source.
 var randConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,

@@ -12,7 +12,6 @@ import (
 var recboundPkgs = []string{
 	"internal/match",
 	"internal/motif",
-	"internal/reach",
 }
 
 // boundWords are identifier fragments recognised as depth/budget carriers
@@ -26,7 +25,7 @@ var boundWords = []string{
 }
 
 // RecBound requires every (directly or mutually) recursive function in
-// match/motif/reach to show a termination bound on every recursion path.
+// match/motif to show a termination bound on every recursion path.
 // Evidence is per recursive call site:
 //
 //   - Rule A: the call itself modifies a bound-word value on the way down
@@ -42,7 +41,7 @@ var boundWords = []string{
 //     closes.
 var RecBound = &Analyzer{
 	Name: "recbound",
-	Doc:  "recursive functions in match/motif/reach must decrement a depth/budget argument or check a limit/cancellation/visited bound on a path dominating each recursive call",
+	Doc:  "recursive functions in match/motif must decrement a depth/budget argument or check a limit/cancellation/visited bound on a path dominating each recursive call",
 	Run:  runRecBound,
 }
 

@@ -12,10 +12,7 @@ import "cmp"
 // typical key sizes.
 const degree = 16
 
-const (
-	maxKeys = 2*degree - 1
-	minKeys = degree - 1
-)
+const maxKeys = 2*degree - 1
 
 // Tree is a B-tree map from K to V. The zero value is an empty tree.
 type Tree[K cmp.Ordered, V any] struct {
@@ -145,130 +142,6 @@ func (n *node[K, V]) insert(k K, v V) bool {
 	return n.children[i].insert(k, v)
 }
 
-// Delete removes k; reports whether it was present.
-func (t *Tree[K, V]) Delete(k K) bool {
-	if t.root == nil {
-		return false
-	}
-	removed := t.root.delete(k)
-	if len(t.root.keys) == 0 {
-		if t.root.leaf() {
-			t.root = nil
-		} else {
-			t.root = t.root.children[0]
-		}
-	}
-	if removed {
-		t.size--
-	}
-	return removed
-}
-
-func (n *node[K, V]) delete(k K) bool {
-	i, eq := n.find(k)
-	if n.leaf() {
-		if !eq {
-			return false
-		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
-		return true
-	}
-	if eq {
-		// Replace with predecessor from the left subtree, then delete it there.
-		child := n.children[i]
-		if len(child.keys) > minKeys {
-			pk, pv := child.max()
-			n.keys[i], n.vals[i] = pk, pv
-			return child.delete(pk)
-		}
-		right := n.children[i+1]
-		if len(right.keys) > minKeys {
-			sk, sv := right.min()
-			n.keys[i], n.vals[i] = sk, sv
-			return right.delete(sk)
-		}
-		n.merge(i)
-		return n.children[i].delete(k)
-	}
-	child := n.children[i]
-	if len(child.keys) == minKeys {
-		n.fill(i)
-		// fill may have merged child with a sibling; re-find.
-		return n.delete(k)
-	}
-	return child.delete(k)
-}
-
-func (n *node[K, V]) max() (K, V) {
-	for !n.leaf() {
-		n = n.children[len(n.children)-1]
-	}
-	return n.keys[len(n.keys)-1], n.vals[len(n.vals)-1]
-}
-
-func (n *node[K, V]) min() (K, V) {
-	for !n.leaf() {
-		n = n.children[0]
-	}
-	return n.keys[0], n.vals[0]
-}
-
-// fill ensures child i has more than minKeys keys by borrowing or merging.
-func (n *node[K, V]) fill(i int) {
-	switch {
-	case i > 0 && len(n.children[i-1].keys) > minKeys:
-		n.borrowLeft(i)
-	case i < len(n.children)-1 && len(n.children[i+1].keys) > minKeys:
-		n.borrowRight(i)
-	case i < len(n.children)-1:
-		n.merge(i)
-	default:
-		n.merge(i - 1)
-	}
-}
-
-func (n *node[K, V]) borrowLeft(i int) {
-	child, left := n.children[i], n.children[i-1]
-	child.keys = append([]K{n.keys[i-1]}, child.keys...)
-	child.vals = append([]V{n.vals[i-1]}, child.vals...)
-	n.keys[i-1] = left.keys[len(left.keys)-1]
-	n.vals[i-1] = left.vals[len(left.vals)-1]
-	left.keys = left.keys[:len(left.keys)-1]
-	left.vals = left.vals[:len(left.vals)-1]
-	if !child.leaf() {
-		child.children = append([]*node[K, V]{left.children[len(left.children)-1]}, child.children...)
-		left.children = left.children[:len(left.children)-1]
-	}
-}
-
-func (n *node[K, V]) borrowRight(i int) {
-	child, right := n.children[i], n.children[i+1]
-	child.keys = append(child.keys, n.keys[i])
-	child.vals = append(child.vals, n.vals[i])
-	n.keys[i] = right.keys[0]
-	n.vals[i] = right.vals[0]
-	right.keys = append(right.keys[:0], right.keys[1:]...)
-	right.vals = append(right.vals[:0], right.vals[1:]...)
-	if !child.leaf() {
-		child.children = append(child.children, right.children[0])
-		right.children = append(right.children[:0], right.children[1:]...)
-	}
-}
-
-// merge folds child i+1 and the separator key into child i.
-func (n *node[K, V]) merge(i int) {
-	child, right := n.children[i], n.children[i+1]
-	child.keys = append(child.keys, n.keys[i])
-	child.vals = append(child.vals, n.vals[i])
-	child.keys = append(child.keys, right.keys...)
-	child.vals = append(child.vals, right.vals...)
-	child.children = append(child.children, right.children...)
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
-}
-
 // Ascend visits all pairs in key order until fn returns false.
 func (t *Tree[K, V]) Ascend(fn func(K, V) bool) {
 	t.root.ascend(fn)
@@ -290,46 +163,4 @@ func (n *node[K, V]) ascend(fn func(K, V) bool) bool {
 		return n.children[len(n.children)-1].ascend(fn)
 	}
 	return true
-}
-
-// AscendRange visits pairs with lo <= key < hi in order until fn returns
-// false.
-func (t *Tree[K, V]) AscendRange(lo, hi K, fn func(K, V) bool) {
-	t.root.ascendRange(lo, hi, fn)
-}
-
-func (n *node[K, V]) ascendRange(lo, hi K, fn func(K, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	i, _ := n.find(lo)
-	for ; i < len(n.keys); i++ {
-		if !n.leaf() && !n.children[i].ascendRange(lo, hi, fn) {
-			return false
-		}
-		if !cmp.Less(n.keys[i], hi) {
-			return false
-		}
-		if !fn(n.keys[i], n.vals[i]) {
-			return false
-		}
-	}
-	if !n.leaf() {
-		return n.children[len(n.children)-1].ascendRange(lo, hi, fn)
-	}
-	return true
-}
-
-// Height returns the tree height (0 for empty); exercised by tests to check
-// balance.
-func (t *Tree[K, V]) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if n.leaf() {
-			break
-		}
-		n = n.children[0]
-	}
-	return h
 }

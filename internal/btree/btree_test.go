@@ -40,10 +40,6 @@ func TestManyInsertsOrdered(t *testing.T) {
 			t.Fatalf("Get(%d) = %d,%v", i, v, ok)
 		}
 	}
-	// Balance: height should be logarithmic (log_16 10000 ≈ 3.3).
-	if h := tr.Height(); h > 6 {
-		t.Errorf("height = %d, too tall for %d keys", h, n)
-	}
 	// Ascend yields sorted keys.
 	prev := -1
 	count := 0
@@ -60,84 +56,15 @@ func TestManyInsertsOrdered(t *testing.T) {
 	}
 }
 
-func TestAscendRange(t *testing.T) {
+func TestAscendEarlyStop(t *testing.T) {
 	var tr Tree[int, int]
 	for i := 0; i < 100; i++ {
-		tr.Set(i*2, i) // even keys 0..198
+		tr.Set(i*2, i)
 	}
-	var got []int
-	tr.AscendRange(10, 21, func(k, v int) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []int{10, 12, 14, 16, 18, 20}
-	if len(got) != len(want) {
-		t.Fatalf("range = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range = %v, want %v", got, want)
-		}
-	}
-	// Early stop.
 	n := 0
 	tr.Ascend(func(k, v int) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Errorf("early stop visited %d, want 5", n)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	var tr Tree[int, int]
-	const n = 2000
-	rng := rand.New(rand.NewSource(3))
-	perm := rng.Perm(n)
-	for _, k := range perm {
-		tr.Set(k, k)
-	}
-	if tr.Delete(n + 5) {
-		t.Error("deleting absent key should return false")
-	}
-	// Delete every third key in random order.
-	deleted := map[int]bool{}
-	for _, k := range perm {
-		if k%3 == 0 {
-			if !tr.Delete(k) {
-				t.Fatalf("Delete(%d) = false", k)
-			}
-			deleted[k] = true
-		}
-	}
-	for i := 0; i < n; i++ {
-		v, ok := tr.Get(i)
-		if deleted[i] && ok {
-			t.Fatalf("key %d should be deleted", i)
-		}
-		if !deleted[i] && (!ok || v != i) {
-			t.Fatalf("key %d lost: %d,%v", i, v, ok)
-		}
-	}
-	if tr.Len() != n-len(deleted) {
-		t.Errorf("Len = %d, want %d", tr.Len(), n-len(deleted))
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	var tr Tree[int, int]
-	for i := 0; i < 500; i++ {
-		tr.Set(i, i)
-	}
-	for i := 499; i >= 0; i-- {
-		if !tr.Delete(i) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-	}
-	if tr.Len() != 0 || tr.Height() != 0 {
-		t.Errorf("tree not empty after deleting all: len=%d height=%d", tr.Len(), tr.Height())
-	}
-	tr.Set(7, 7) // still usable
-	if v, ok := tr.Get(7); !ok || v != 7 {
-		t.Error("tree unusable after emptying")
 	}
 }
 
@@ -155,7 +82,7 @@ func TestUpdatePostingList(t *testing.T) {
 }
 
 // Property: the tree agrees with a map reference under random interleaved
-// Set/Delete/Get operations.
+// Set/Get operations.
 func TestAgainstMapReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -163,18 +90,11 @@ func TestAgainstMapReference(t *testing.T) {
 		ref := map[int]int{}
 		for op := 0; op < 400; op++ {
 			k := rng.Intn(60)
-			switch rng.Intn(3) {
+			switch rng.Intn(2) {
 			case 0:
 				v := rng.Int()
 				tr.Set(k, v)
 				ref[k] = v
-			case 1:
-				delTr := tr.Delete(k)
-				_, inRef := ref[k]
-				delete(ref, k)
-				if delTr != inRef {
-					return false
-				}
 			default:
 				v, ok := tr.Get(k)
 				rv, rok := ref[k]

@@ -142,11 +142,6 @@ func (e *Engine) snapshot() *store.Snapshot {
 	return e.Docs.Snapshot()
 }
 
-// Run executes a parsed program.
-func (e *Engine) Run(prog *ast.Program) (*Result, error) {
-	return e.RunContext(context.Background(), prog)
-}
-
 // RunContext executes a parsed program under a context: cancellation is
 // checked between statements, per work item inside every bulk operator, and
 // on every backtracking step of each selection, so a cancelled program

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ func run(t *testing.T, store docs, src string) *Result {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := newEngine(store).Run(prog)
+	res, err := newEngine(store).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -188,7 +189,7 @@ func TestRecursivePatternQuery(t *testing.T) {
 	}
 	eng := newEngine(docs{"G": graph.NewCollection(g)})
 	eng.DeriveDepth = 3
-	res, err := eng.Run(prog)
+	res, err := eng.RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		if _, err := newEngine(docs{"DBLP": dblp()}).Run(prog); err == nil {
+		if _, err := newEngine(docs{"DBLP": dblp()}).RunContext(context.Background(), prog); err == nil {
 			t.Errorf("Run(%q): want error", src)
 		}
 	}
@@ -272,13 +273,13 @@ func TestCollectionIndexFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := newEngine(docs{"DBLP": coll}).Run(prog)
+	plain, err := newEngine(docs{"DBLP": coll}).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := store.New(store.Options{IndexMaxLen: 2})
 	ds.RegisterDoc("DBLP", coll)
-	indexed, err := NewOver(ds).Run(prog)
+	indexed, err := NewOver(ds).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

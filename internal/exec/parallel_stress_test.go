@@ -53,7 +53,7 @@ func TestRunContextWorkersMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := newEngine(store).Run(prog)
+	want, err := newEngine(store).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRunContextConcurrentCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := newEngine(store).Run(prog)
+	want, err := newEngine(store).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

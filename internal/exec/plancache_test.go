@@ -20,7 +20,7 @@ func TestPlanCacheGridDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := newEngine(docs{"db": coll}).Run(prog)
+	want, err := newEngine(docs{"db": coll}).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,3 @@ func (c Collection) Clone() Collection {
 	}
 	return out
 }
-
-// Filter returns the members for which keep returns true.
-func (c Collection) Filter(keep func(*Graph) bool) Collection {
-	var out Collection
-	for _, g := range c {
-		if keep(g) {
-			out = append(out, g)
-		}
-	}
-	return out
-}

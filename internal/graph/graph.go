@@ -227,14 +227,6 @@ func (g *Graph) InAdj(v NodeID) []Half {
 // Degree returns the size of v's adjacency list (out-degree when directed).
 func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
 
-// TotalDegree returns in+out degree for directed graphs, degree otherwise.
-func (g *Graph) TotalDegree(v NodeID) int {
-	if g.Directed {
-		return len(g.adj[v]) + len(g.radj[v])
-	}
-	return len(g.adj[v])
-}
-
 // EdgesBetween returns the IDs of edges from u to v (any orientation for
 // undirected graphs). The slice must not be modified.
 func (g *Graph) EdgesBetween(u, v NodeID) []EdgeID {

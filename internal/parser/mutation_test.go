@@ -84,20 +84,20 @@ func TestMutationKeywordsAreContextual(t *testing.T) {
 
 func TestParseMutationErrors(t *testing.T) {
 	bad := []string{
-		`create graph in doc("db");`,                                        // missing name
-		`create g in doc("db");`,                                            // missing 'graph'
-		`create graph g { node a where a.x = 1; } in doc("db");`,            // predicate in literal
-		`create graph g { unify a, b; } in doc("db");`,                      // non-literal member
-		`create graph g { edge e (a.b, c); } in doc("db");`,                 // dotted endpoint
-		`create graph g;`,                                                   // missing doc ref
-		`drop graph g in doc(db);`,                                          // doc name must be a string
-		`insert node into g in doc("db");`,                                  // 'into' swallowed as name
-		`insert edge e (a b) into g in doc("db");`,                          // missing comma
-		`insert node n in doc("db");`,                                       // missing 'into g'
-		`delete node n from in doc("db");`,                                  // missing graph name
-		`delete graph g in doc("db");`,                                      // delete takes node/edge
-		`insert node n <x=1 into g in doc("db");`,                           // unterminated tuple
-		`create graph g <p> { node a; } | { node b; } in doc("db");`,        // no disjunction in literals
+		`create graph in doc("db");`,                                 // missing name
+		`create g in doc("db");`,                                     // missing 'graph'
+		`create graph g { node a where a.x = 1; } in doc("db");`,     // predicate in literal
+		`create graph g { unify a, b; } in doc("db");`,               // non-literal member
+		`create graph g { edge e (a.b, c); } in doc("db");`,          // dotted endpoint
+		`create graph g;`,                                            // missing doc ref
+		`drop graph g in doc(db);`,                                   // doc name must be a string
+		`insert node into g in doc("db");`,                           // 'into' swallowed as name
+		`insert edge e (a b) into g in doc("db");`,                   // missing comma
+		`insert node n in doc("db");`,                                // missing 'into g'
+		`delete node n from in doc("db");`,                           // missing graph name
+		`delete graph g in doc("db");`,                               // delete takes node/edge
+		`insert node n <x=1 into g in doc("db");`,                    // unterminated tuple
+		`create graph g <p> { node a; } | { node b; } in doc("db");`, // no disjunction in literals
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

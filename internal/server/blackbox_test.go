@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -143,7 +144,7 @@ func TestServerBlackBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := gexec.NewOver(store.FromMap(map[string]graph.Collection{"DBLP": dblp()})).Run(prog)
+	oracle, err := gexec.NewOver(store.FromMap(map[string]graph.Collection{"DBLP": dblp()})).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,8 +156,8 @@ func (s *Server) readRequest(w *statusWriter, r *http.Request) (queryRequest, bo
 	} else {
 		req.Query = string(body)
 	}
-	if strings.TrimSpace(req.Query) == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "empty query")
+	if msg := req.violation(false); msg != "" {
+		writeError(w, http.StatusBadRequest, "bad_request", msg)
 		return req, false
 	}
 	return req, true

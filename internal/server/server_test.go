@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -108,7 +109,7 @@ func TestQueryMatchesEmbeddedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := exec.NewOver(store.FromMap(map[string]graph.Collection{"DBLP": dblp()})).Run(prog)
+	oracle, err := exec.NewOver(store.FromMap(map[string]graph.Collection{"DBLP": dblp()})).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

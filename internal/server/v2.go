@@ -157,7 +157,8 @@ func (s *Server) handleQueryV2(w *statusWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	if !s.validateV2(w, req) {
+	if msg := req.violation(true); msg != "" {
+		writeError(w, http.StatusBadRequest, "bad_request", msg)
 		return
 	}
 	eng := s.engine.Request(exec.RequestOptions{Workers: req.Workers})
@@ -173,17 +174,19 @@ func (s *Server) handleQueryV2(w *statusWriter, r *http.Request) {
 	nw.flush()
 }
 
-// validateV2 rejects malformed cursor fields before any work runs.
-func (s *Server) validateV2(w *statusWriter, req queryRequest) bool {
-	if req.Skip < 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "skip must be >= 0")
-		return false
+// violation returns why a request must be refused before any work runs, or
+// "" when it is well-formed: an empty program and, when cursor is set (the
+// v2 read endpoints, which honour skip/take), a negative skip or take.
+func (req queryRequest) violation(cursor bool) string {
+	switch {
+	case strings.TrimSpace(req.Query) == "":
+		return "empty query"
+	case cursor && req.Skip < 0:
+		return "skip must be >= 0"
+	case cursor && req.Take != nil && *req.Take < 0:
+		return "take must be >= 0"
 	}
-	if req.Take != nil && *req.Take < 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "take must be >= 0")
-		return false
-	}
-	return true
+	return ""
 }
 
 // resolveTake turns the request's optional take into the exec-level limit,
@@ -284,16 +287,8 @@ func (s *Server) handleBatchV2(w *statusWriter, r *http.Request) {
 	for qi := range breq.Queries {
 		q := breq.Queries[qi]
 		qref := qi
-		if strings.TrimSpace(q.Query) == "" {
-			s.batchBadRequest(w, nw, &qref, "empty query")
-			continue
-		}
-		if q.Skip < 0 {
-			s.batchBadRequest(w, nw, &qref, "skip must be >= 0")
-			continue
-		}
-		if q.Take != nil && *q.Take < 0 {
-			s.batchBadRequest(w, nw, &qref, "take must be >= 0")
+		if msg := q.violation(true); msg != "" {
+			s.batchBadRequest(w, nw, &qref, msg)
 			continue
 		}
 		obs.BatchQueries.Inc()

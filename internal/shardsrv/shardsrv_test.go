@@ -1,7 +1,9 @@
 package shardsrv
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +14,8 @@ import (
 	"testing"
 
 	"gqldb/internal/graph"
+	"gqldb/internal/match"
+	"gqldb/internal/pattern"
 	"gqldb/internal/store"
 )
 
@@ -91,5 +95,159 @@ func TestSyncBodyErrors(t *testing.T) {
 		if _, ok := srv.store.Snapshot().Doc(tc.name); ok != (tc.want == 200) {
 			t.Errorf("%s: document installed = %v", tc.name, ok)
 		}
+	}
+}
+
+// selectFixture is a two-shard mirror of a small document in which some
+// members contain an A->B edge and some do not, plus a request for that
+// edge pattern which the mirror accepts as-is.
+func selectFixture(t *testing.T) (*Server, *store.Doc, *pattern.Pattern, store.WireRequest) {
+	t.Helper()
+	var coll graph.Collection
+	for i := 0; i < 8; i++ {
+		// Even-numbered names spread the members over both shards (with
+		// "g%d" the name hash and the ordinal cancel out in the low bit).
+		g := graph.New(fmt.Sprintf("g%d", 2*i))
+		a := g.AddNode("", graph.TupleOf("", "label", "A"))
+		b := g.AddNode("", graph.TupleOf("", "label", "B"))
+		if i%3 != 0 {
+			g.AddEdge("", a, b, nil)
+		}
+		coll = append(coll, g)
+	}
+	srv := New(Config{Shards: 2})
+	if _, err := srv.RegisterDoc("db", coll); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := srv.store.Snapshot().Doc("db")
+	p := pattern.New("P")
+	p.AddEdge("", p.LabelNode("v1", "A"), p.LabelNode("v2", "B"), nil, nil)
+	if err := p.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	req := store.WireRequest{
+		Doc: "db", Shard: 1, Shards: 2, Version: d.Version(), Hash: d.ContentHash(),
+		Workers: 1, Pattern: store.EncodePattern(p), Options: store.EncodeOptions(match.Options{Exhaustive: true}),
+	}
+	return srv, d, p, req
+}
+
+// postSelect drives /shard/select with body and decodes every answer line
+// with store.DecodeFrame. The protocol answers every request with HTTP 200.
+func postSelect(t *testing.T, srv *Server, body []byte) []*store.WireFrame {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/shard/select", bytes.NewReader(body)))
+	if rec.Code != 200 {
+		t.Fatalf("status %d, want 200 (%s)", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	var frames []*store.WireFrame
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		f, err := store.DecodeFrame(sc.Bytes())
+		if err != nil {
+			t.Fatalf("undecodable frame %q: %v", sc.Text(), err)
+		}
+		frames = append(frames, f)
+	}
+	return frames
+}
+
+func encodeRequest(t *testing.T, req store.WireRequest) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := store.EncodeRequest(&buf, &req); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSelectErrorFrames drives /shard/select directly: every refusal is a
+// single in-band error frame with the code the frontend dispatches on, and
+// the stale and topology frames carry the mirror's version and hash.
+func TestSelectErrorFrames(t *testing.T) {
+	srv, d, _, good := selectFixture(t)
+	with := func(edit func(*store.WireRequest)) []byte {
+		r := good
+		edit(&r)
+		return encodeRequest(t, r)
+	}
+	for _, tc := range []struct {
+		name        string
+		body        []byte
+		code        string
+		versionHash bool
+	}{
+		{"malformed body", []byte("{not json"), store.WireCodeBadRequest, false},
+		{"prune mode out of range", with(func(r *store.WireRequest) { r.Options.Prune = uint8(match.PruneSubgraph) + 1 }), store.WireCodeBadRequest, false},
+		{"unknown document", with(func(r *store.WireRequest) { r.Doc = "nope" }), store.WireCodeUnknownDoc, false},
+		{"hash mismatch", with(func(r *store.WireRequest) { r.Hash = "0000000000000000" }), store.WireCodeStale, true},
+		{"shard width mismatch", with(func(r *store.WireRequest) { r.Shards, r.Shard = 3, 0 }), store.WireCodeTopology, true},
+	} {
+		frames := postSelect(t, srv, tc.body)
+		if len(frames) != 1 || frames[0].T != "error" || frames[0].Code != tc.code {
+			t.Errorf("%s: frames %+v, want one %q error frame", tc.name, frames, tc.code)
+			continue
+		}
+		if f := frames[0]; tc.versionHash && (f.Version != d.Version() || f.Hash != d.ContentHash()) {
+			t.Errorf("%s: frame reports version %d hash %q, want %d %q", tc.name, f.Version, f.Hash, d.Version(), d.ContentHash())
+		}
+	}
+}
+
+// TestSelectDraining: a draining server refuses selection jobs with an
+// internal error frame, and /healthz answers 503 "draining" so the prober
+// marks it unhealthy.
+func TestSelectDraining(t *testing.T) {
+	srv, _, _, req := selectFixture(t)
+	srv.StartDrain()
+	frames := postSelect(t, srv, encodeRequest(t, req))
+	if len(frames) != 1 || frames[0].T != "error" || frames[0].Code != store.WireCodeInternal {
+		t.Fatalf("frames %+v, want one internal error frame", frames)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	var body struct{ Status string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != 503 || body.Status != "draining" {
+		t.Fatalf("healthz = %d %q, want 503 draining", rec.Code, body.Status)
+	}
+}
+
+// TestSelectAnswer: an accepted job answers one group frame per matching
+// shard member in ascending ordinal order, each with that member's
+// bindings, then a done frame counting the verified members (all of them:
+// the mirror is unindexed).
+func TestSelectAnswer(t *testing.T) {
+	srv, d, p, req := selectFixture(t)
+	sh := d.Shards()[req.Shard]
+	var want []int
+	wantMatches := map[int]int{}
+	for li, g := range sh.Coll {
+		maps, _, err := match.Find(p, g, nil, match.Options{Exhaustive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(maps) > 0 {
+			want = append(want, li)
+			wantMatches[li] = len(maps)
+		}
+	}
+	if len(want) == 0 || len(want) == len(sh.Coll) {
+		t.Fatalf("degenerate fixture: %d of %d members match", len(want), len(sh.Coll))
+	}
+	frames := postSelect(t, srv, encodeRequest(t, req))
+	if len(frames) != len(want)+1 {
+		t.Fatalf("%d frames, want %d groups and a done frame: %+v", len(frames), len(want), frames)
+	}
+	for i, li := range want {
+		if f := frames[i]; f.T != "group" || f.Ord != li || len(f.Matches) != wantMatches[li] {
+			t.Errorf("frame %d = %+v, want group ord %d with %d matches", i, f, li, wantMatches[li])
+		}
+	}
+	if f := frames[len(want)]; f.T != "done" || f.Candidates != len(sh.Coll) {
+		t.Errorf("last frame = %+v, want done with %d candidates", f, len(sh.Coll))
 	}
 }

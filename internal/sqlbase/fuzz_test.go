@@ -10,8 +10,9 @@ import (
 // on an untrusted input path (PatternToSQL output fed back through
 // MatchPattern, plus ad-hoc statements via Exec), so accepted statements
 // must also survive a render/reparse round trip: ParseSQL(st.String())
-// reproduces st exactly. That invariant is what caught the ''-escape
-// mismatch — PatternToSQL escaped quotes the lexer could not read back.
+// reproduces st exactly. That invariant is what caught the
+// doubled-single-quote escape mismatch — PatternToSQL escaped quotes the
+// lexer could not read back.
 func FuzzParseSQL(f *testing.F) {
 	seeds := []string{
 		"SELECT a.b FROM t AS a;",

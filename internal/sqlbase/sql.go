@@ -59,9 +59,9 @@ type SelectStmt struct {
 	Where []Cond
 }
 
-// String renders the literal in the lexer's syntax: strings with ''-escaped
-// quotes, and floats always with a decimal point so the Int/Float kind
-// survives a reparse.
+// String renders the literal in the lexer's syntax: strings with each quote
+// escaped as a doubled single quote, and floats always with a decimal point
+// so the Int/Float kind survives a reparse.
 func (l *Literal) String() string {
 	switch {
 	case l.IsStr:

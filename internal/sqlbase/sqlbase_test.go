@@ -209,8 +209,8 @@ func TestAgainstNativeMatcher(t *testing.T) {
 
 // TestQuotedLabelRoundTrip: labels containing single quotes must survive
 // the PatternToSQL → ParseSQL bridge. PatternToSQL always emitted the
-// standard '' escape, but the lexer used to stop at the first quote, so
-// MatchPattern failed on any label with an apostrophe.
+// standard doubled-single-quote escape, but the lexer used to stop at the
+// first quote, so MatchPattern failed on any label with an apostrophe.
 func TestQuotedLabelRoundTrip(t *testing.T) {
 	g := graph.New("G")
 	a := g.AddNode("a", graph.TupleOf("", "label", "O'Brien"))

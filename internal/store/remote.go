@@ -121,13 +121,6 @@ func (r *RemoteSelector) SetHedgeAfter(d time.Duration) { r.hedgeAfter = d }
 // Startup-only.
 func (r *RemoteSelector) SetAllowPartial(v bool) { r.allowPartial = v }
 
-// Endpoints returns the configured shard-server base URLs.
-func (r *RemoteSelector) Endpoints() []string {
-	out := make([]string, len(r.endpoints))
-	copy(out, r.endpoints)
-	return out
-}
-
 // endpoint maps a rotation index to a base URL.
 func (r *RemoteSelector) endpoint(i int) string {
 	return r.endpoints[i%len(r.endpoints)]
@@ -171,9 +164,8 @@ func (r *RemoteSelector) SelectShard(ctx context.Context, req ShardRequest) (Sha
 		if err := ctx.Err(); err != nil {
 			return ShardResult{}, err
 		}
-		ep := r.endpoint(req.Index + attempt)
-		lastEndpoint = ep
-		res, from, hedged, hedgeWon, err := r.attemptOne(ctx, ep, req, payload, attempt)
+		res, from, hedged, hedgeWon, err := r.attemptOne(ctx, r.endpoint(req.Index+attempt), req, payload, attempt)
+		lastEndpoint = from
 		if hedged {
 			info.Hedged = true
 		}
@@ -189,10 +181,11 @@ func (r *RemoteSelector) SelectShard(ctx context.Context, req ShardRequest) (Sha
 		lastErr = err
 		if errIsStale(err) && resyncBudget > 0 {
 			// The convergence path, not a failure retry: push the frontend's
-			// document and ask the same endpoint again without burning the
-			// retry budget.
+			// document to the mirror that answered stale (the hedge backup
+			// when it was the one) and ask again without burning the retry
+			// budget.
 			resyncBudget--
-			if serr := r.sync(ctx, ep, req.Doc); serr == nil {
+			if serr := r.sync(ctx, from, req.Doc); serr == nil {
 				info.Resynced = true
 				obs.ShardResyncs.Inc()
 				continue
@@ -228,8 +221,9 @@ func (r *RemoteSelector) SelectShard(ctx context.Context, req ShardRequest) (Sha
 
 // attemptOne issues one (possibly hedged) request. With hedging enabled
 // and a distinct replica available, the primary races a delayed duplicate;
-// the first success wins and cancels the loser. Returns the answering
-// endpoint and whether a hedge fired/won.
+// the first success wins and cancels the loser. Returns the endpoint that
+// produced the answer (on failure, the one whose error is returned) and
+// whether a hedge fired/won.
 func (r *RemoteSelector) attemptOne(ctx context.Context, primary string, req ShardRequest, payload []byte, attempt int) (ShardResult, string, bool, bool, error) {
 	backup := r.endpoint(req.Index + attempt + 1)
 	if r.hedgeAfter <= 0 || backup == primary {
@@ -257,7 +251,8 @@ func (r *RemoteSelector) attemptOne(ctx context.Context, primary string, req Sha
 	hedged := false
 	timer := time.NewTimer(r.hedgeAfter)
 	defer timer.Stop()
-	var firstErr error
+	var lastErr error
+	lastEp := primary
 	for inflight > 0 {
 		select {
 		case <-ctx.Done():
@@ -278,7 +273,7 @@ func (r *RemoteSelector) attemptOne(ctx context.Context, primary string, req Sha
 				cancel()
 				return a.res, a.ep, hedged, a.hedge, nil
 			}
-			firstErr = a.err
+			lastErr, lastEp = a.err, a.ep
 			if !hedged {
 				// The primary failed before the hedge delay: fire the backup
 				// immediately rather than waiting out the timer.
@@ -289,7 +284,7 @@ func (r *RemoteSelector) attemptOne(ctx context.Context, primary string, req Sha
 			}
 		}
 	}
-	return ShardResult{}, primary, hedged, false, firstErr
+	return ShardResult{}, lastEp, hedged, false, lastErr
 }
 
 // call issues one shard-select request against one endpoint and decodes
@@ -408,8 +403,13 @@ func (r *RemoteSelector) Health() []ShardHealth {
 
 // StartProbing launches a background prober (immediate probe, then every
 // interval) and returns its stop function. The prober exits when ctx is
-// canceled or stop is called.
+// canceled or stop is called. With every <= 0 it probes once, synchronously,
+// and returns a no-op stop.
 func (r *RemoteSelector) StartProbing(ctx context.Context, every time.Duration) (stop func()) {
+	if every <= 0 {
+		r.Probe(ctx)
+		return func() {}
+	}
 	pctx, cancel := context.WithCancel(ctx)
 	go func() {
 		t := time.NewTicker(every)

@@ -11,6 +11,7 @@ import (
 
 	"gqldb/internal/exec"
 	"gqldb/internal/graph"
+	"gqldb/internal/match"
 	"gqldb/internal/shardsrv"
 	"gqldb/internal/store"
 )
@@ -248,6 +249,59 @@ func TestRemoteSelectorHealth(t *testing.T) {
 	}
 	if h[1].Healthy || h[1].Err == "" {
 		t.Fatalf("dead endpoint reported healthy: %+v", h[1])
+	}
+}
+
+// TestRemoteSelectorProbeOnce: a non-positive probe interval probes once
+// and returns a no-op stop instead of handing it to time.NewTicker, which
+// panics.
+func TestRemoteSelectorProbeOnce(t *testing.T) {
+	live := startCluster(t, 1, 2, map[string]graph.Collection{"db": randomCollection(10, 47)})
+	rs := store.NewRemoteSelector(live)
+	stop := rs.StartProbing(context.Background(), 0)
+	defer stop()
+	h := rs.Health()
+	if len(h) != 1 || !h[0].Healthy || h[0].Checked.IsZero() || h[0].Docs != 1 {
+		t.Fatalf("health after a one-shot probe = %+v, want one healthy, checked endpoint", h)
+	}
+}
+
+// TestRemoteSelectorHedgedResync: when the primary is dead and the hedge
+// backup answers stale, the resync goes to the backup (the endpoint whose
+// error was returned), and the retried attempt answers correctly.
+func TestRemoteSelectorHedgedResync(t *testing.T) {
+	docs := map[string]graph.Collection{"db": randomCollection(40, 53)}
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	deadURL := dead.URL
+	dead.Close()
+	empty := startCluster(t, 1, 1, nil) // a mirror without the document
+	eng, rs := remoteEngine(1, []string{deadURL, empty[0]}, docs)
+	rs.SetHedgeAfter(time.Second)
+	rs.SetRetries(0)
+
+	d, _ := eng.Docs.Snapshot().Doc("db")
+	p := abPattern(t)
+	opt := match.Options{Exhaustive: true}
+	res, err := rs.SelectShard(t.Context(), store.ShardRequest{Shard: d.Shards()[0], P: p, Opt: opt, Workers: 1, Doc: d})
+	if err != nil {
+		t.Fatalf("hedged stale answer did not resync the backup: %v", err)
+	}
+	if res.Remote == nil || !res.Remote.Resynced {
+		t.Fatalf("RemoteInfo = %+v, want Resynced", res.Remote)
+	}
+	n := 0
+	for _, g := range res.Groups {
+		n += len(g)
+	}
+	if want := len(referenceSelection(t, p, docs["db"], opt)); n != want {
+		t.Fatalf("resynced answer has %d matches, want %d", n, want)
+	}
+	got, err := eng.RunQuery(t.Context(), storeQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderResult(got) != referenceResult(t, docs["db"]) {
+		t.Fatal("hedged cluster result diverged from the reference")
 	}
 }
 

@@ -329,7 +329,7 @@ func TestCacheNeverStale(t *testing.T) {
 	// Mutation: the very next query must miss and see the new collection.
 	collB := randomCollection(40, 99)
 	s.RegisterDoc("db", collB)
-	oracle, err := exec.NewOver(store.FromMap(map[string]graph.Collection{"db": collB})).Run(mustParse(t, storeQuery))
+	oracle, err := exec.NewOver(store.FromMap(map[string]graph.Collection{"db": collB})).RunContext(context.Background(), mustParse(t, storeQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
