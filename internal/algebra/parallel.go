@@ -95,7 +95,14 @@ func SelectStream(ctx context.Context, p *pattern.Pattern, c graph.Collection, c
 			if err != nil {
 				return err
 			}
-			if sp != nil {
+			switch {
+			case sp == nil:
+			case st.GraphGateRejected:
+				// The member failed the pattern's graph gate before any
+				// matching: it counts here and nowhere else, so plan-cache hits
+				// + misses + rejections cover every candidate.
+				sp.Add("graph_gate_rejected", 1)
+			default:
 				// Aggregate the §4 access-method counters across the members:
 				// candidate-space sizes before/after local pruning and refinement,
 				// backtracking steps, and mappings found. Span.Add is worker-safe.

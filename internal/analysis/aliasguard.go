@@ -26,6 +26,9 @@ var aliasReturns = map[string]bool{
 	// over the same (pattern shape, graph, options): the feasible-mate
 	// lists and order are shared, searchers copy what they mutate.
 	"internal/match.PlanCache.Get": true,
+	// Pattern.Halves hands out the motif adjacency Compile built once per
+	// pattern; every worker matching that pattern reads the same slices.
+	"internal/pattern.Pattern.Halves": true,
 }
 
 // AliasGuard flags mutations of values obtained from the registered

@@ -9,6 +9,7 @@ import (
 	"gqldb/internal/graph"
 	"gqldb/internal/index"
 	"gqldb/internal/obs"
+	"gqldb/internal/pattern"
 )
 
 // ---- panicfree ----
@@ -353,4 +354,21 @@ func adoptPlan(c *PlanCache) []int {
 	return order
 }
 
-var _ = []any{ResizeInWorker, ResizeAtStartup, scribblePlan, adoptPlan}
+// scribbleHalves writes through the compiled pattern's shared adjacency —
+// every worker matching the pattern reads it: flagged.
+func scribbleHalves(p *pattern.Pattern) []pattern.Half {
+	hs := p.Halves()[0]
+	hs[0].Out = false                      // want:aliasguard `field write`
+	return append(hs, pattern.Half{To: 1}) // want:aliasguard `append`
+}
+
+// walkHalves only reads the shared adjacency: allowed.
+func walkHalves(p *pattern.Pattern) int {
+	n := 0
+	for _, h := range p.Halves()[0] {
+		n += h.To
+	}
+	return n
+}
+
+var _ = []any{ResizeInWorker, ResizeAtStartup, scribblePlan, adoptPlan, scribbleHalves, walkHalves}

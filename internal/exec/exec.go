@@ -32,8 +32,8 @@ type Engine struct {
 	// empty snapshot and refuses mutations.
 	Docs *store.DocStore
 	// Cache, when set, memoizes whole-program results by (canonical program
-	// text, docs read, store version) — see RunQuery. Run/RunContext bypass
-	// it (they receive pre-parsed programs; the canonical source text is the
+	// text, docs read, store version) — see RunQuery. RunContext bypasses
+	// it (it receives a pre-parsed program; the canonical source text is the
 	// cache's identity).
 	Cache *store.Cache
 	// Selector overrides how the coordinator evaluates one shard of a

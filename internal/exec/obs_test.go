@@ -2,10 +2,12 @@ package exec
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"gqldb/internal/ast"
+	"gqldb/internal/graph"
 	"gqldb/internal/match"
 	"gqldb/internal/obs"
 	"gqldb/internal/parser"
@@ -194,8 +196,14 @@ func TestTraceIndexFilterCounters(t *testing.T) {
 // shard runs its index filter and the selection kernel under the
 // sharded-selection span, so the trace carries the per-shard counters that
 // EXPLAIN's "selection search space" and "plan cache" tables are built from.
+// A second query with a graph-attribute condition checks the graph gate's
+// counter: every candidate the filters pass is a plan-cache hit, a miss or
+// a gate rejection.
 func TestTraceShardedSelectionCounters(t *testing.T) {
 	coll := stressStore(60)["db"]
+	for i, g := range coll {
+		g.Attrs = graph.TupleOf("", "parity", i%3)
+	}
 	ds := store.New(store.Options{Shards: 4, IndexMaxLen: 2})
 	ds.RegisterDoc("db", coll)
 	e := NewOver(ds)
@@ -239,5 +247,36 @@ func TestTraceShardedSelectionCounters(t *testing.T) {
 	}
 	if got := sel["plan_cache_hits"] + sel["plan_cache_misses"]; got != ix["candidates"] {
 		t.Errorf("plan-cache counters cover %d graphs, the filters passed %d", got, ix["candidates"])
+	}
+
+	gateQuery := strings.Replace(stressQuery, "edge (v1, v2); };", "edge (v1, v2); } where P.parity = 1;", 1)
+	res, err = e.RunContext(context.Background(), parse(t, gateQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Out) == 0 {
+		t.Fatal("degenerate test: no result rows under the graph condition")
+	}
+	sel, ix = map[string]int64{}, map[string]int64{}
+	res.Trace.Walk(func(_ int, sp *obs.Span) {
+		switch sp.Name {
+		case "selection":
+			for k, v := range sp.Counts() {
+				sel[k] += v
+			}
+		case "index-filter":
+			for k, v := range sp.Counts() {
+				ix[k] += v
+			}
+		}
+	})
+	if sel["graph_gate_rejected"] == 0 {
+		t.Error("no member failed the graph gate under P.parity = 1")
+	}
+	if sel["matches"] != int64(len(res.Out)) {
+		t.Errorf("gated selection spans count %d matches, result has %d rows", sel["matches"], len(res.Out))
+	}
+	if got := sel["plan_cache_hits"] + sel["plan_cache_misses"] + sel["graph_gate_rejected"]; got != ix["candidates"] {
+		t.Errorf("plan-cache and gate counters cover %d graphs, the filters passed %d", got, ix["candidates"])
 	}
 }

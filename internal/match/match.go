@@ -142,6 +142,12 @@ type Stats struct {
 	Order []graph.NodeID
 	// EstCost is the planner's estimated cost of the chosen order.
 	EstCost float64
+	// GraphGateRejected reports that the member graph failed the pattern's
+	// graph gate (Pattern.GraphHolds): a residual conjunct over graph
+	// attributes alone is false or errors for it, so no binding can satisfy
+	// the predicate and nothing else ran — no plan-cache lookup, retrieval
+	// or search, and every other field is zero.
+	GraphGateRejected bool
 	// PlanCacheHit reports that the evaluation reused a cached plan
 	// (Options.Plans) instead of retrieving, refining and ordering; the
 	// corresponding phase times are zero.
@@ -237,9 +243,18 @@ func Find(p *pattern.Pattern, g *graph.Graph, ix *Index, opt Options) ([]Mapping
 // is polled on every backtracking step of the Algorithm 4.1 search (and
 // between the retrieval/refinement phases), so a cancelled selection
 // returns ctx.Err() within one step — not only between graphs.
+//
+// The pattern's graph gate is checked first, once per call: a graph whose
+// attributes fail it has no mappings, and the call returns before the
+// plan-cache lookup, retrieval and search (Stats.GraphGateRejected). That
+// is the answer the per-binding residual check would give, reached without
+// enumerating a binding.
 func FindContext(ctx context.Context, p *pattern.Pattern, g *graph.Graph, ix *Index, opt Options) ([]Mapping, *Stats, error) {
 	if err := p.Compile(); err != nil {
 		return nil, nil, err
+	}
+	if ok, err := p.GraphHolds(g.Attrs); !ok || err != nil {
+		return nil, &Stats{GraphGateRejected: true}, nil
 	}
 	if opt.Gamma == 0 {
 		opt.Gamma = 0.5

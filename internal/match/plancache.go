@@ -2,8 +2,6 @@ package match
 
 import (
 	"container/list"
-	"fmt"
-	"strings"
 	"sync"
 
 	"gqldb/internal/graph"
@@ -80,7 +78,7 @@ type PlanKey struct {
 // planKeyFor builds the cache key for one evaluation.
 func planKeyFor(p *pattern.Pattern, g *graph.Graph, ix *Index, opt Options) PlanKey {
 	return PlanKey{
-		Shape: PatternShape(p),
+		Shape: p.Shape(),
 		Graph: g,
 		Opts: PlanOpts{
 			Prune:       opt.Prune,
@@ -93,42 +91,6 @@ func planKeyFor(p *pattern.Pattern, g *graph.Graph, ix *Index, opt Options) Plan
 			Nbr:         ix != nil && ix.Nbr != nil,
 		},
 	}
-}
-
-// PatternShape renders the canonical planning shape of a compiled pattern:
-// motif direction, per-node tag and predicate (which subsumes constant
-// label constraints — they are `label == "X"` conjuncts), edge wiring with
-// per-edge predicates, and the residual global predicate. Patterns that
-// differ only in formatting or construction order of their source text
-// share a shape; anything that could change feasible mates or the cost
-// model changes it. The pattern must be compiled (Pattern.Compile pushes
-// the predicates down that the shape reads); Find compiles before keying.
-func PatternShape(p *pattern.Pattern) string {
-	var b strings.Builder
-	if p.Motif.Directed {
-		b.WriteString("D")
-	} else {
-		b.WriteString("U")
-	}
-	for _, n := range p.Motif.Nodes() {
-		b.WriteString("\x00n")
-		b.WriteString(p.NodeTag[n.ID])
-		b.WriteByte('\x01')
-		if e := p.NodePred[n.ID]; e != nil {
-			b.WriteString(e.String())
-		}
-	}
-	for _, e := range p.Motif.Edges() {
-		fmt.Fprintf(&b, "\x00e%d>%d\x01", e.From, e.To)
-		if x := p.EdgePred[e.ID]; x != nil {
-			b.WriteString(x.String())
-		}
-	}
-	if p.Global != nil {
-		b.WriteString("\x00g")
-		b.WriteString(p.Global.String())
-	}
-	return b.String()
 }
 
 // PlanCacheStats is one plan cache's counter snapshot (process-wide

@@ -110,7 +110,7 @@ func TestPatternShape(t *testing.T) {
 		if err := p.Compile(); err != nil {
 			t.Fatal(err)
 		}
-		return PatternShape(p)
+		return p.Shape()
 	}
 	s1, s2 := shape(trianglePattern()), shape(trianglePattern())
 	if s1 != s2 {

@@ -30,9 +30,9 @@ type searcher struct {
 	// order[i] is the pattern node searched at depth i; pos is its inverse.
 	order []graph.NodeID
 	pos   []int
-	// padj[u] lists pattern half-edges incident to u (both directions for
-	// directed motifs, annotated with orientation).
-	padj [][]pHalf
+	// padj[u] lists pattern half-edges incident to u: the shared,
+	// read-only Pattern.Halves table Compile built.
+	padj [][]pattern.Half
 
 	// Search state.
 	assign  []graph.NodeID // pattern node -> data node (NoNode if free)
@@ -67,14 +67,6 @@ type searcher struct {
 // arenaBlock is how many Mapping rows one arena allocation holds.
 const arenaBlock = 64
 
-// pHalf is a pattern half-edge: edge ID, the opposite endpoint, and whether
-// the edge is oriented out of the owning node (meaningful when directed).
-type pHalf struct {
-	edge graph.EdgeID
-	to   graph.NodeID
-	out  bool
-}
-
 // cancelled polls the context; the first observed cancellation flips done
 // so the backtracking search unwinds immediately, and ctxErr carries the
 // cause out through run.
@@ -95,8 +87,13 @@ func (s *searcher) cancelled() bool {
 	}
 }
 
+// run plans and searches one member. The phase timers read the clock only
+// under Options.CollectStats; the candidate counts are always kept, since
+// the selection span reads them.
 func (s *searcher) run() error {
 	n := s.p.Size()
+	timed := s.opt.CollectStats
+	var start time.Time
 
 	var key PlanKey
 	cached := false
@@ -108,23 +105,33 @@ func (s *searcher) run() error {
 		}
 	}
 	if !cached {
-		s.stats.CandBaseline = make([]int, n)
-		s.stats.CandLocal = make([]int, n)
-		s.stats.CandRefined = make([]int, n)
+		// One backing array for the three candidate-count vectors.
+		counts := make([]int, 3*n)
+		s.stats.CandBaseline = counts[:n:n]
+		s.stats.CandLocal = counts[n : 2*n : 2*n]
+		s.stats.CandRefined = counts[2*n:]
 
-		start := time.Now()
+		if timed {
+			start = time.Now()
+		}
 		if err := s.retrieve(); err != nil {
 			return err
 		}
-		s.stats.RetrieveTime = time.Since(start)
+		if timed {
+			s.stats.RetrieveTime = time.Since(start)
+		}
 		if s.ctxErr != nil {
 			return s.ctxErr
 		}
 
 		if s.opt.Refine {
-			start = time.Now()
+			if timed {
+				start = time.Now()
+			}
 			s.refine()
-			s.stats.RefineTime = time.Since(start)
+			if timed {
+				s.stats.RefineTime = time.Since(start)
+			}
 			if s.ctxErr != nil {
 				return s.ctxErr
 			}
@@ -133,19 +140,29 @@ func (s *searcher) run() error {
 			s.stats.CandRefined[u] = len(s.phi[u])
 		}
 
-		start = time.Now()
+		if timed {
+			start = time.Now()
+		}
 		s.plan()
-		s.stats.OrderTime = time.Since(start)
-		s.stats.Order = append([]graph.NodeID(nil), s.order...)
+		if timed {
+			s.stats.OrderTime = time.Since(start)
+		}
+		// The searcher never writes s.order after planning, so the stats
+		// share it; the cache snapshot takes its own copy.
+		s.stats.Order = s.order
 
 		if s.opt.Plans != nil {
 			s.opt.Plans.Put(s.opt.PlanEpoch, key, s.planSnapshot())
 		}
 	}
 
-	start := time.Now()
+	if timed {
+		start = time.Now()
+	}
 	s.search()
-	s.stats.SearchTime = time.Since(start)
+	if timed {
+		s.stats.SearchTime = time.Since(start)
+	}
 	s.stats.NumMatches = len(s.out)
 	return s.ctxErr
 }
@@ -159,10 +176,8 @@ func (s *searcher) adoptPlan(pl *Plan) {
 	s.finishPlan()
 	s.stats.PlanCacheHit = true
 	s.stats.EstCost = pl.EstCost
-	s.stats.Order = append([]graph.NodeID(nil), pl.Order...)
-	s.stats.CandBaseline = append([]int(nil), pl.CandBaseline...)
-	s.stats.CandLocal = append([]int(nil), pl.CandLocal...)
-	s.stats.CandRefined = append([]int(nil), pl.CandRefined...)
+	s.stats.Order = s.order
+	s.stats.CandBaseline, s.stats.CandLocal, s.stats.CandRefined = copyCounts(pl.CandBaseline, pl.CandLocal, pl.CandRefined)
 }
 
 // planSnapshot captures the planning output for the cache. phi is stored
@@ -170,14 +185,22 @@ func (s *searcher) adoptPlan(pl *Plan) {
 // (retrieval and refinement always build fresh backing arrays), so the
 // cached plan and the search that produced it can share them.
 func (s *searcher) planSnapshot() *Plan {
-	return &Plan{
-		Phi:          s.phi,
-		Order:        append([]graph.NodeID(nil), s.order...),
-		EstCost:      s.stats.EstCost,
-		CandBaseline: append([]int(nil), s.stats.CandBaseline...),
-		CandLocal:    append([]int(nil), s.stats.CandLocal...),
-		CandRefined:  append([]int(nil), s.stats.CandRefined...),
+	pl := &Plan{
+		Phi:     s.phi,
+		Order:   append([]graph.NodeID(nil), s.order...),
+		EstCost: s.stats.EstCost,
 	}
+	pl.CandBaseline, pl.CandLocal, pl.CandRefined = copyCounts(s.stats.CandBaseline, s.stats.CandLocal, s.stats.CandRefined)
+	return pl
+}
+
+// copyCounts copies the three per-pattern-node candidate-count vectors of
+// Definition 4.9 into one backing array (one allocation instead of three).
+func copyCounts(base, local, refined []int) ([]int, []int, []int) {
+	n := len(base)
+	c := make([]int, 0, 3*n)
+	c = append(append(append(c, base...), local...), refined...)
+	return c[:n:n], c[n : 2*n : 2*n], c[2*n:]
 }
 
 // retrieve fills phi with the feasible mates of every pattern node
@@ -198,17 +221,26 @@ func (s *searcher) retrieve() error {
 			return nil
 		}
 		uid := graph.NodeID(u)
+		// The label index narrows the scan when u has a constant label;
+		// otherwise (cands nil) every data node is a candidate, visited by
+		// ordinal without materializing the list.
 		var cands []graph.NodeID
 		if s.ix != nil {
 			if label, ok := s.p.ConstLabel(uid); ok {
 				cands = s.ix.Labels.Lookup(label)
 			}
 		}
-		if cands == nil {
-			cands = allNodes(s.g)
+		scan := cands == nil
+		size := len(cands)
+		if scan {
+			size = s.g.NumNodes()
 		}
-		list := make([]graph.NodeID, 0, len(cands))
-		for _, v := range cands {
+		list := make([]graph.NodeID, 0, size)
+		for i := 0; i < size; i++ {
+			v := graph.NodeID(i)
+			if !scan {
+				v = cands[i]
+			}
 			ok, err := s.p.NodeMatches(uid, s.g.Node(v).Attrs)
 			if err != nil {
 				return fmt.Errorf("match: node predicate on %s: %w", s.p.Motif.Node(uid).Name, err)
@@ -253,14 +285,6 @@ func (s *searcher) retrieve() error {
 		s.phi[u] = list
 	}
 	return nil
-}
-
-func allNodes(g *graph.Graph) []graph.NodeID {
-	all := make([]graph.NodeID, g.NumNodes())
-	for i := range all {
-		all[i] = graph.NodeID(i)
-	}
-	return all
 }
 
 // patternNeighborhoods derives neighborhood profiles (and, optionally,
@@ -341,13 +365,7 @@ func (s *searcher) finishPlan() {
 	for i, u := range s.order {
 		s.pos[u] = i
 	}
-	s.padj = make([][]pHalf, n)
-	for _, e := range s.p.Motif.Edges() {
-		s.padj[e.From] = append(s.padj[e.From], pHalf{edge: e.ID, to: e.To, out: true})
-		if e.From != e.To {
-			s.padj[e.To] = append(s.padj[e.To], pHalf{edge: e.ID, to: e.From, out: false})
-		}
-	}
+	s.padj = s.p.Halves()
 }
 
 // search runs the depth-first enumeration of Algorithm 4.1.
@@ -389,18 +407,18 @@ func (s *searcher) candidates(i int) []graph.NodeID {
 		return s.phi[u]
 	}
 	for _, h := range s.padj[u] {
-		if h.to == u {
+		if h.To == u {
 			continue
 		}
-		w := s.assign[h.to]
+		w := s.assign[h.To]
 		if w == graph.NoNode {
 			continue
 		}
 		// Candidates must be adjacent to w with the right orientation:
-		// pattern edge u->h.to needs data edge v->w (v in InAdj(w));
-		// pattern edge h.to->u needs w->v (v in Adj(w)).
+		// pattern edge u->h.To needs data edge v->w (v in InAdj(w));
+		// pattern edge h.To->u needs w->v (v in Adj(w)).
 		var adj []graph.Half
-		if s.g.Directed && h.out {
+		if s.g.Directed && h.Out {
 			adj = s.g.InAdj(w)
 		} else {
 			adj = s.g.Adj(w)
@@ -462,9 +480,9 @@ func (s *searcher) rec(i int) {
 // orientation. Witnesses are recorded in edgeMap.
 func (s *searcher) check(u graph.NodeID, v graph.NodeID) bool {
 	for _, h := range s.padj[u] {
-		w := s.assign[h.to]
+		w := s.assign[h.To]
 		if w == graph.NoNode {
-			if h.to != u {
+			if h.To != u {
 				continue
 			}
 			// Self-loop on the pattern node being placed: v must carry a
@@ -472,7 +490,7 @@ func (s *searcher) check(u graph.NodeID, v graph.NodeID) bool {
 			w = v
 		}
 		var from, to graph.NodeID
-		if h.out {
+		if h.Out {
 			from, to = v, w
 		} else {
 			from, to = w, v
@@ -483,9 +501,9 @@ func (s *searcher) check(u graph.NodeID, v graph.NodeID) bool {
 			if s.g.Directed && (de.From != from || de.To != to) {
 				continue
 			}
-			ok, err := s.p.EdgeMatches(h.edge, de.Attrs)
+			ok, err := s.p.EdgeMatches(h.Edge, de.Attrs)
 			if err == nil && ok {
-				s.edgeMap[h.edge] = eid
+				s.edgeMap[h.Edge] = eid
 				found = true
 				break
 			}

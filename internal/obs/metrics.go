@@ -138,7 +138,8 @@ func (h *Histogram) Name() string { return h.name }
 
 // The process-wide metric set.
 var (
-	// Queries counts engine program executions (Run/RunContext).
+	// Queries counts engine program executions: RunContext, RunQuery and
+	// StreamQuery, result-cache hits included.
 	Queries = newCounter("gqldb_queries_total", "programs executed by the query engine")
 	// QueryErrors counts executions that returned an error (including
 	// cancellation).

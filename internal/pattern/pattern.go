@@ -2,12 +2,14 @@
 // P = (M, F) of a graph motif M and a predicate F over the motif's
 // attributes. Compile pushes F's conjuncts down onto individual nodes and
 // edges (§4.1), leaving only genuinely multi-variable conjuncts in the
-// graph-wide residual predicate, and extracts constant label constraints so
-// access methods can use label indexes.
+// graph-wide residual predicate, compiles the residual conjuncts that read
+// only graph attributes into a per-member graph gate, and extracts constant
+// label constraints so access methods can use label indexes.
 package pattern
 
 import (
 	"fmt"
+	"strings"
 
 	"gqldb/internal/expr"
 	"gqldb/internal/graph"
@@ -32,6 +34,7 @@ type Pattern struct {
 	EdgePred []expr.Expr
 	// Global is the residual graph-wide predicate; its names are resolved
 	// against the whole binding (multi-node conjuncts, graph attributes).
+	// It keeps every residual conjunct, the graph conjuncts included.
 	Global expr.Expr
 
 	// Compiled closure forms of the predicates above, built once by
@@ -41,6 +44,18 @@ type Pattern struct {
 	nodePredC []expr.Pred
 	edgePredC []expr.Pred
 	globalC   expr.Pred
+	// graphC is the graph gate: the conjunction of Global's graph
+	// conjuncts (every name a graph attribute, see graphName) over bare
+	// names, nil when Global has none. It has the same value at every
+	// binding of one member graph, so GraphHolds decides it once per member
+	// before any matching.
+	graphC expr.Pred
+
+	// Pattern-side search structures, built once by Compile and shared
+	// read-only by every evaluation: the canonical planning shape and the
+	// motif half-edges incident to each node.
+	shape  string
+	halves [][]Half
 
 	// where holds the raw predicates accumulated before Compile.
 	where []expr.Expr
@@ -154,11 +169,15 @@ func (p *Pattern) Compile() error {
 			})
 		}
 	}
-	var global []expr.Expr
+	var global, gate []expr.Expr
 	for _, w := range where {
 		for _, c := range expr.Conjuncts(w) {
-			if !p.pushDown(c) {
-				global = append(global, c)
+			if p.pushDown(c) {
+				continue
+			}
+			global = append(global, c)
+			if local, ok := p.graphLocal(c); ok {
+				gate = append(gate, local)
 			}
 		}
 	}
@@ -175,8 +194,44 @@ func (p *Pattern) Compile() error {
 		p.edgePredC[e] = expr.CompilePred(x)
 	}
 	p.globalC = expr.CompilePred(p.Global)
+	p.graphC = expr.CompilePred(expr.And(gate...))
+	p.shape = p.renderShape()
+	p.halves = make([][]Half, p.Motif.NumNodes())
+	for _, e := range p.Motif.Edges() {
+		p.halves[e.From] = append(p.halves[e.From], Half{Edge: e.ID, To: e.To, Out: true})
+		if e.From != e.To {
+			p.halves[e.To] = append(p.halves[e.To], Half{Edge: e.ID, To: e.From, Out: false})
+		}
+	}
 	p.compiled = true
 	return p.validate()
+}
+
+// graphName strips the pattern qualifier from a name the way the matcher's
+// binding environment does, and returns the graph attribute it reads —
+// a one-element name — or nil when it reads a motif element.
+func (p *Pattern) graphName(parts []string) []string {
+	if len(parts) >= 2 && p.Name != "" && parts[0] == p.Name {
+		parts = parts[1:]
+	}
+	if len(parts) != 1 {
+		return nil
+	}
+	return parts
+}
+
+// graphLocal rewrites a residual conjunct to bare names when every name in
+// it reads a graph attribute (a bare name or P.name): a graph conjunct.
+// Such a conjunct has one value per member graph, whatever the binding.
+func (p *Pattern) graphLocal(c expr.Expr) (expr.Expr, bool) {
+	for _, n := range expr.Names(c) {
+		if p.graphName(n) == nil {
+			return nil, false
+		}
+	}
+	return expr.Rewrite(c, func(n expr.Name) expr.Name {
+		return expr.Name{Parts: p.graphName(n.Parts)}
+	}), true
 }
 
 // owner classifies a qualified name: the motif element that owns it (node or
@@ -284,6 +339,58 @@ func (p *Pattern) validate() error {
 // Size returns the number of motif nodes.
 func (p *Pattern) Size() int { return p.Motif.NumNodes() }
 
+// Half is one motif edge seen from a pattern node: the edge, the opposite
+// endpoint, and whether the edge is oriented out of the node (meaningful
+// for directed motifs). A self-loop appears once, as outgoing.
+type Half struct {
+	Edge graph.EdgeID
+	To   graph.NodeID
+	Out  bool
+}
+
+// Halves returns, for every pattern node u, the motif half-edges incident
+// to u, built once by Compile. The table is shared by every evaluation of
+// the pattern and must be treated as read-only.
+func (p *Pattern) Halves() [][]Half { return p.halves }
+
+// Shape returns the canonical planning shape Compile rendered: motif
+// direction, per-node tag and predicate (which subsumes constant label
+// constraints — they are `label == "X"` conjuncts), edge wiring with
+// per-edge predicates, and the residual global predicate. Patterns that
+// differ only in formatting or construction order of their source text
+// share a shape; anything that could change feasible mates or the cost
+// model changes it. An uncompiled pattern has the empty shape.
+func (p *Pattern) Shape() string { return p.shape }
+
+// renderShape builds the string Shape returns.
+func (p *Pattern) renderShape() string {
+	var b strings.Builder
+	if p.Motif.Directed {
+		b.WriteString("D")
+	} else {
+		b.WriteString("U")
+	}
+	for _, n := range p.Motif.Nodes() {
+		b.WriteString("\x00n")
+		b.WriteString(p.NodeTag[n.ID])
+		b.WriteByte('\x01')
+		if e := p.NodePred[n.ID]; e != nil {
+			b.WriteString(e.String())
+		}
+	}
+	for _, e := range p.Motif.Edges() {
+		fmt.Fprintf(&b, "\x00e%d>%d\x01", e.From, e.To)
+		if x := p.EdgePred[e.ID]; x != nil {
+			b.WriteString(x.String())
+		}
+	}
+	if p.Global != nil {
+		b.WriteString("\x00g")
+		b.WriteString(p.Global.String())
+	}
+	return b.String()
+}
+
 // WhereSource renders the construction-time predicates (AddNode/AddEdge
 // where clauses, already qualified with their element names, plus every
 // Where call) as one parseable expression — the pattern's predicate "by
@@ -355,6 +462,18 @@ func (p *Pattern) GlobalHolds(env expr.Env) (bool, error) {
 		return p.globalC(env)
 	}
 	return expr.Holds(p.Global, env)
+}
+
+// GraphHolds evaluates the graph gate of a compiled pattern against a member
+// graph's attributes: the conjunction of Global's graph conjuncts. When it
+// is false or errors, no binding of that graph can satisfy Global (a false
+// conjunct, or an error the residual check would drop), so the member has
+// no mappings. A pattern without graph conjuncts holds trivially.
+func (p *Pattern) GraphHolds(attrs *graph.Tuple) (bool, error) {
+	if p.graphC == nil {
+		return true, nil
+	}
+	return p.graphC((*tupleEnv)(attrs))
 }
 
 // String renders the pattern motif plus its full predicate: pushed-down

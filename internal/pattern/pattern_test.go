@@ -205,3 +205,52 @@ func TestCompileIdempotent(t *testing.T) {
 		t.Errorf("Compile not idempotent: %d -> %d conjuncts", before, after)
 	}
 }
+
+// TestGraphGate: Compile gates on exactly the residual conjuncts whose names
+// all read graph attributes (bare or P-qualified); Global keeps them, and a
+// conjunct that also reads a motif element stays out of the gate.
+func TestGraphGate(t *testing.T) {
+	p := New("P")
+	v1 := p.AddNode("v1", nil, nil)
+	v2 := p.AddNode("v2", nil, nil)
+	p.AddEdge("e", v1, v2, nil, nil)
+	p.Where(eq(nm("P", "booktitle"), lit("SIGMOD")))
+	p.Where(gt(nm("year"), lit(2000)))
+	p.Where(eq(nm("v1", "name"), nm("v2", "name")))
+	p.Where(expr.Binary{Op: expr.OpOr, L: gt(nm("year"), lit(2005)), R: eq(nm("v1", "name"), lit("A"))})
+	if err := p.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(expr.Conjuncts(p.Global)); n != 4 {
+		t.Errorf("Global has %d conjuncts, want all 4 residual ones: %s", n, p.Global)
+	}
+	for _, tc := range []struct {
+		attrs *graph.Tuple
+		want  bool
+	}{
+		{graph.TupleOf("", "booktitle", "SIGMOD", "year", 2006), true},
+		{graph.TupleOf("", "booktitle", "SIGMOD", "year", 1999), false},
+		{graph.TupleOf("", "booktitle", "VLDB", "year", 2006), false},
+		{graph.TupleOf("", "booktitle", "SIGMOD"), false}, // year missing
+		{graph.TupleOf("", "booktitle", "SIGMOD", "year", "x"), false},
+		{nil, false},
+	} {
+		if got, err := p.GraphHolds(tc.attrs); err != nil || got != tc.want {
+			t.Errorf("GraphHolds(%v) = %v, %v; want %v", tc.attrs, got, err, tc.want)
+		}
+	}
+	// An erroring graph conjunct makes the gate report the error.
+	q := New("P")
+	q.AddNode("v", nil, nil)
+	q.Where(gt(expr.Binary{Op: expr.OpDiv, L: nm("P", "year"), R: lit(0)}, lit(1)))
+	if err := q.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := q.GraphHolds(graph.TupleOf("", "year", 2000)); ok || err == nil {
+		t.Errorf("GraphHolds over year / 0 = %v, %v; want false and an error", ok, err)
+	}
+	// No graph conjunct: the gate holds trivially.
+	if ok, err := fig48(t).GraphHolds(nil); !ok || err != nil {
+		t.Errorf("gate of a pattern without graph conjuncts = %v, %v", ok, err)
+	}
+}

@@ -3,6 +3,7 @@ package shardsrv
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 
 	"gqldb/internal/graph"
 	"gqldb/internal/match"
+	"gqldb/internal/parser"
 	"gqldb/internal/pattern"
 	"gqldb/internal/store"
 )
@@ -249,5 +251,78 @@ func TestSelectAnswer(t *testing.T) {
 	}
 	if f := frames[len(want)]; f.T != "done" || f.Candidates != len(sh.Coll) {
 		t.Errorf("last frame = %+v, want done with %d candidates", f, len(sh.Coll))
+	}
+}
+
+// TestSelectGraphGate: a pattern whose where clause reads a graph attribute
+// crosses the wire as source text and is recompiled by the mirror with the
+// same graph gate, so /shard/select for P.booktitle = "X" answers exactly
+// the groups the in-process coordinator finds on that shard.
+func TestSelectGraphGate(t *testing.T) {
+	var coll graph.Collection
+	for i := 0; i < 12; i++ {
+		g := graph.New(fmt.Sprintf("g%d", 2*i))
+		g.Attrs = graph.TupleOf("", "booktitle", []string{"X", "Y", "Z"}[i%3])
+		a := g.AddNode("", graph.TupleOf("", "label", "A"))
+		b := g.AddNode("", graph.TupleOf("", "label", "B"))
+		if i%4 != 0 {
+			g.AddEdge("", a, b, nil)
+		}
+		coll = append(coll, g)
+	}
+	srv := New(Config{Shards: 2})
+	if _, err := srv.RegisterDoc("db", coll); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := srv.store.Snapshot().Doc("db")
+	cond, err := parser.ParseExpr(`P.booktitle = "X"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pattern.New("P")
+	p.AddEdge("", p.LabelNode("v1", "A"), p.LabelNode("v2", "B"), nil, nil)
+	p.Where(cond)
+	if err := p.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	opt := match.Options{Exhaustive: true}
+	all, err := (&store.Coordinator{}).Select(context.Background(), d, p, opt, nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shard, sh := range d.Shards() {
+		ord := map[*graph.Graph]int{}
+		for li, g := range sh.Coll {
+			ord[g] = li
+		}
+		var want []string
+		for _, m := range all {
+			if li, ok := ord[m.G]; ok {
+				want = append(want, fmt.Sprintf("group %d %v %v", li, m.M.Nodes, m.M.Edges))
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("degenerate fixture: shard %d has no P.booktitle = \"X\" match", shard)
+		}
+		req := store.WireRequest{
+			Doc: "db", Shard: shard, Shards: 2, Version: d.Version(), Hash: d.ContentHash(),
+			Workers: 1, Pattern: store.EncodePattern(p), Options: store.EncodeOptions(opt),
+		}
+		frames := postSelect(t, srv, encodeRequest(t, req))
+		var got []string
+		for _, f := range frames {
+			if f.T != "group" {
+				continue
+			}
+			for _, m := range f.Matches {
+				got = append(got, fmt.Sprintf("group %d %v %v", f.Ord, m.Nodes, m.Edges))
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("shard %d: mirror answered\n%v\nthe coordinator found\n%v", shard, got, want)
+		}
+		if last := frames[len(frames)-1]; last.T != "done" || last.Candidates != len(sh.Coll) {
+			t.Errorf("shard %d: last frame = %+v, want done with %d candidates", shard, last, len(sh.Coll))
+		}
 	}
 }

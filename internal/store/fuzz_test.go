@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"gqldb/internal/ast"
 	"gqldb/internal/match"
+	"gqldb/internal/parser"
 	"gqldb/internal/store"
 )
 
@@ -26,6 +28,23 @@ func FuzzShardWire(f *testing.F) {
 		Options: store.EncodeOptions(match.Optimized()),
 	}
 	var buf bytes.Buffer
+	if err := store.EncodeRequest(&buf, req); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// A pattern whose where clause reads graph attributes (bare and
+	// P-qualified): the mirror recompiles the same graph gate from the
+	// predicate's source text.
+	gated, err := parser.Parse(`graph P { node v1 where label="A"; node v2; edge (v1, v2); } where P.booktitle = "X" & year >= 2000;`)
+	if err != nil {
+		f.Fatal(err)
+	}
+	gp, err := gated.Stmts[0].(*ast.GraphDecl).ToPattern()
+	if err != nil {
+		f.Fatal(err)
+	}
+	req.Pattern = store.EncodePattern(gp)
+	buf.Reset()
 	if err := store.EncodeRequest(&buf, req); err != nil {
 		f.Fatal(err)
 	}
@@ -72,12 +91,18 @@ func FuzzShardWire(f *testing.F) {
 				t.Fatalf("pattern wire form changed over round-trip")
 			}
 			// A decodable pattern must compile without panicking; a failure
-			// must be typed.
-			if _, perr := r.Pattern.Pattern(); perr != nil {
+			// must be typed. One that compiles compiles to the same planning
+			// shape after the round-trip (the shape carries the residual
+			// predicate the graph gate is derived from).
+			if p1, perr := r.Pattern.Pattern(); perr != nil {
 				var we *store.WireError
 				if !errors.As(perr, &we) {
 					t.Fatalf("Pattern error is %T, want *WireError: %v", perr, perr)
 				}
+			} else if p2, perr := r2.Pattern.Pattern(); perr != nil {
+				t.Fatalf("round-tripped pattern no longer compiles: %v", perr)
+			} else if p2.Shape() != p1.Shape() {
+				t.Fatalf("round-tripped pattern compiles to shape %q, want %q", p2.Shape(), p1.Shape())
 			}
 			if _, oerr := r.Options.Options(); oerr != nil {
 				var we *store.WireError
