@@ -242,7 +242,7 @@ func renderTrace(w io.Writer, res *exec.StreamResult) {
 
 	sel := &stats.Table{
 		Title:   "// selection search space",
-		Headers: []string{"pattern", "gate_rejected", "baseline", "local", "refined", "matches", "reduction"},
+		Headers: []string{"pattern", "indexed", "gate_rejected", "baseline", "local", "refined", "matches", "reduction"},
 	}
 	res.Trace.Walk(func(_ int, sp *obs.Span) {
 		if sp.Name != "selection" {
@@ -256,7 +256,7 @@ func renderTrace(w io.Writer, res *exec.StreamResult) {
 		}
 		base, local := sp.Count("cand_baseline"), sp.Count("cand_local")
 		refined := sp.Count("cand_refined")
-		sel.AddRow(name, fmt.Sprint(sp.Count("graph_gate_rejected")), fmt.Sprint(base), fmt.Sprint(local), fmt.Sprint(refined),
+		sel.AddRow(name, fmt.Sprint(sp.Count("indexed")), fmt.Sprint(sp.Count("graph_gate_rejected")), fmt.Sprint(base), fmt.Sprint(local), fmt.Sprint(refined),
 			fmt.Sprint(sp.Count("matches")), reductionCell(refined, base))
 	})
 	if len(sel.Rows) > 0 {

@@ -491,9 +491,9 @@ func NewShardServer(cfg ShardServerConfig) *ShardServer { return shardsrv.New(cf
 func MetricsSnapshot() map[string]any { return obs.Snapshot() }
 
 // NewEngine returns a query engine over the document map with default
-// options; set Workers, Opts or IxFor before querying. The map is wrapped
-// into an unsharded DocStore at construction; later changes to it are not
-// observed.
+// options; set Workers or Opts before querying. The map is wrapped into an
+// unsharded DocStore at construction, which indexes its large member graphs
+// itself; later changes to the map are not observed.
 func NewEngine(st Store) *Engine { return exec.NewOver(store.FromMap(st)) }
 
 // NewEngineOver returns a query engine reading through a versioned store —

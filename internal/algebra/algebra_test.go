@@ -383,3 +383,120 @@ func TestTemplateErrors(t *testing.T) {
 		t.Error("edge between unknown nodes should error")
 	}
 }
+
+// embedFixture is a graph with node, edge and graph attributes, directed
+// or not, and the matches of a pattern a(A)-b(B)-c over it.
+func embedFixture(t *testing.T, directed bool) Matched {
+	t.Helper()
+	g := graph.New("G")
+	if directed {
+		g = graph.NewDirected("G")
+	}
+	g.Attrs = graph.TupleOf("paper", "year", 2008)
+	var ids []graph.NodeID
+	for i := 0; i < 6; i++ {
+		ids = append(ids, g.AddNode("", graph.TupleOf("author", "label", []string{"A", "B"}[i%2], "rank", i)))
+	}
+	for i := range ids {
+		for j := range ids {
+			if i != j && (i+j)%3 != 0 {
+				g.AddEdge("", ids[i], ids[j], graph.TupleOf("", "w", i*10+j))
+			}
+		}
+	}
+	p := pattern.New("P")
+	if directed {
+		p = pattern.NewDirected("P")
+	}
+	a, b, c := p.LabelNode("a", "A"), p.LabelNode("b", "B"), p.AddNode("c", nil, nil)
+	p.AddEdge("ab", a, b, nil, nil)
+	p.AddEdge("cb", c, b, nil, nil)
+	if err := p.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	ms, err := SelectionContext(context.Background(), p, graph.NewCollection(g), match.Options{Exhaustive: true}, nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) == 0 {
+		t.Fatal("degenerate fixture: no matches")
+	}
+	return ms
+}
+
+// TestEmbedMatchedEqualsInduced: embedding a matched operand (graph P;)
+// gives the same graph as embedding its InducedGraph view, on directed and
+// undirected graphs with node, edge and graph attributes, whatever else the
+// template declares around it.
+func TestEmbedMatchedEqualsInduced(t *testing.T) {
+	tmpl := &Template{Name: "T", Members: []TMember{
+		TNode{Name: "x"},
+		TGraph{Var: "P"},
+		TEdge{Name: "e", From: []string{"x"}, To: []string{"P", "a"}},
+	}}
+	for _, directed := range []bool{false, true} {
+		for i, m := range embedFixture(t, directed) {
+			got, err := tmpl.Instantiate(map[string]Operand{"P": MatchedOperand(m)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tmpl.Instantiate(map[string]Operand{"P": GraphOperand(m.InducedGraph())})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Signature() != want.Signature() || got.String() != want.String() {
+				t.Fatalf("directed=%v match %d:\n%s\nwant\n%s", directed, i, got, want)
+			}
+		}
+	}
+}
+
+// TestCompactSkipsOnlyIdentity: compact returns the expanded graph itself
+// only where the rebuild would reproduce it exactly — no unification,
+// every edge from its lower node, no parallel edges — and otherwise the
+// rebuild; the two always agree. The fixture's pattern declares c->b, so
+// embedding it alone needs the rebuild's endpoint swap; declaring a node
+// first shifts the IDs so the same edges run forwards.
+func TestCompactSkipsOnlyIdentity(t *testing.T) {
+	ms := embedFixture(t, false)
+	cases := []struct {
+		name string
+		tmpl *Template
+		skip bool
+	}{
+		{"embed, reversed edge", &Template{Members: []TMember{TGraph{Var: "P"}}}, false},
+		{"forward edges", &Template{Members: []TMember{
+			TNode{Name: "x"}, TNode{Name: "y"},
+			TEdge{From: []string{"x"}, To: []string{"y"}},
+			TEdge{From: []string{"y"}, To: []string{"P", "a"}},
+		}}, true},
+		{"parallel edges", &Template{Members: []TMember{
+			TNode{Name: "x"}, TNode{Name: "y"},
+			TEdge{From: []string{"x"}, To: []string{"y"}},
+			TEdge{From: []string{"x"}, To: []string{"y"}},
+		}}, false},
+		{"backward edge", &Template{Members: []TMember{
+			TNode{Name: "x"}, TNode{Name: "y"},
+			TEdge{From: []string{"y"}, To: []string{"x"}},
+		}}, false},
+		{"unified", &Template{Members: []TMember{
+			TGraph{Var: "P"}, TNode{Name: "x"},
+			TUnify{A: []string{"x"}, B: []string{"P", "c"}},
+		}}, false},
+	}
+	for _, c := range cases {
+		for i, m := range ms {
+			ins, err := c.tmpl.expand(map[string]Operand{"P": MatchedOperand(m)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ins.compacted() != c.skip {
+				t.Fatalf("%s: compacted() = %v, want %v", c.name, !c.skip, c.skip)
+			}
+			got, want := ins.compact(), ins.rebuild()
+			if got.Signature() != want.Signature() || got.String() != want.String() {
+				t.Fatalf("%s match %d:\n%s\nwant\n%s", c.name, i, got, want)
+			}
+		}
+	}
+}

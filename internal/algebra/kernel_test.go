@@ -80,12 +80,12 @@ func TestSelectStreamEmitErrorStopsMidChunk(t *testing.T) {
 	boom := errors.New("consumer has seen enough")
 	for _, workers := range kernelWorkers(len(c)) {
 		var matched atomic.Int64
-		ixFor := func(*graph.Graph) *match.Index {
+		method := func(_ int, opt match.Options) (*match.Index, match.Options) {
 			matched.Add(1)
-			return nil
+			return nil, opt
 		}
 		emits := 0
-		err := SelectStream(context.Background(), p, c, Ordinals(len(c)), match.Options{Exhaustive: true}, ixFor, workers, func(int, Matched) error {
+		err := SelectStream(context.Background(), p, c, Ordinals(len(c)), match.Options{Exhaustive: true}, method, workers, func(int, Matched) error {
 			emits++
 			if emits == 3 {
 				return boom
@@ -113,14 +113,14 @@ func TestSelectStreamCancelMidChunk(t *testing.T) {
 	for _, workers := range kernelWorkers(len(c)) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var matched atomic.Int64
-		ixFor := func(*graph.Graph) *match.Index {
+		method := func(_ int, opt match.Options) (*match.Index, match.Options) {
 			if matched.Add(1) == 10 {
 				cancel()
 			}
-			return nil
+			return nil, opt
 		}
 		emits := 0
-		err := SelectStream(ctx, p, c, Ordinals(len(c)), match.Options{Exhaustive: true}, ixFor, workers, func(int, Matched) error {
+		err := SelectStream(ctx, p, c, Ordinals(len(c)), match.Options{Exhaustive: true}, method, workers, func(int, Matched) error {
 			emits++
 			return nil
 		})

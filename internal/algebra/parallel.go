@@ -56,22 +56,30 @@ func Ordinals(n int) []int32 {
 	return out
 }
 
+// Method chooses how member i of a selection's collection is matched: the
+// per-graph index to use (nil for none) and the match options, given the
+// caller's. It runs on pool workers, so it must only read shared state. A
+// nil Method matches every member unindexed with the caller's options.
+type Method func(i int, opt match.Options) (*match.Index, match.Options)
+
 // SelectStream is the selection kernel: the one place σ_P(C) is evaluated.
 // cands lists the members of c to verify as ascending ordinals — the
 // survivors of whatever access method ran in front (a path index, or
 // Ordinals for a plain scan). They are matched in bounded rounds on the
 // worker pool, and after each round every non-empty match group (all
-// bindings of one member, in discovery order) is pushed to emit(i, group)
+// bindings of one member, in answer order) is pushed to emit(i, group)
 // in candidate order from the calling goroutine. An emit error abandons the
 // unmatched tail and is returned as-is, so a consumer that has seen enough
-// stops the selection within one round.
+// stops the selection within one round. method, when set, picks each
+// member's index and options (the store's per-member rule).
 //
 // The kernel owns the "selection" trace span and its §4 access-method
-// counters. The op-level records (Stats.RecordOp, the selection-latency
-// histogram, the match counter) are not worker-safe and a shard fan-out runs
-// the kernel on pool workers, so they stay with the entry points that own a
-// coordinating goroutine: SelectionContext and store.Coordinator.
-func SelectStream(ctx context.Context, p *pattern.Pattern, c graph.Collection, cands []int32, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int, emit func(i int, group Matched) error) error {
+// counters, including how many members were matched with an index. The
+// op-level records (Stats.RecordOp, the selection-latency histogram, the
+// match counter) are not worker-safe and a shard fan-out runs the kernel on
+// pool workers, so they stay with the entry points that own a coordinating
+// goroutine: SelectionContext and store.Coordinator.
+func SelectStream(ctx context.Context, p *pattern.Pattern, c graph.Collection, cands []int32, opt match.Options, method Method, workers int, emit func(i int, group Matched) error) error {
 	if err := p.Compile(); err != nil {
 		return err
 	}
@@ -88,12 +96,16 @@ func SelectStream(ctx context.Context, p *pattern.Pattern, c graph.Collection, c
 		err := pool.Run(sctx, len(round), workers, func(k int) error {
 			g := c[round[k]]
 			var ix *match.Index
-			if ixFor != nil {
-				ix = ixFor(g)
+			mopt := opt
+			if method != nil {
+				ix, mopt = method(int(round[k]), opt)
 			}
-			maps, st, err := match.FindContext(sctx, p, g, ix, opt)
+			maps, st, err := match.FindContext(sctx, p, g, ix, mopt)
 			if err != nil {
 				return err
+			}
+			if sp != nil && ix != nil {
+				sp.Add("indexed", 1)
 			}
 			switch {
 			case sp == nil:
@@ -148,13 +160,18 @@ func SelectStream(ctx context.Context, p *pattern.Pattern, c graph.Collection, c
 // SelectionContext evaluates σ_P(C): every graph in the collection is matched
 // against p and each binding becomes a matched graph (§3.3). It is the
 // collect form of SelectStream over the whole collection. Matched graphs stay
-// grouped by collection order with bindings in discovery order. The
-// "exhaustive" option controls one-vs-all bindings per graph; ixFor may be
-// nil or return nil, and when present supplies per-graph access structures.
+// grouped by collection order with bindings in the order match.FindContext
+// defines. The "exhaustive" option controls one-vs-all bindings per graph;
+// ixFor may be nil or return nil, and when present supplies per-graph access
+// structures, used with the caller's options unchanged.
 func SelectionContext(ctx context.Context, p *pattern.Pattern, c graph.Collection, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int, stats *match.Stats) (Matched, error) {
+	var method Method
+	if ixFor != nil {
+		method = func(i int, opt match.Options) (*match.Index, match.Options) { return ixFor(c[i]), opt }
+	}
 	var out Matched
 	start := time.Now()
-	err := SelectStream(ctx, p, c, Ordinals(len(c)), opt, ixFor, workers, func(_ int, group Matched) error {
+	err := SelectStream(ctx, p, c, Ordinals(len(c)), opt, method, workers, func(_ int, group Matched) error {
 		out = append(out, group...)
 		return nil
 	})

@@ -94,6 +94,20 @@ type instantiation struct {
 // Instantiate applies the template to the given bindings and returns the
 // constructed graph: T_P1..Pk(G1, ..., Gk).
 func (t *Template) Instantiate(args map[string]Operand) (*graph.Graph, error) {
+	ins, err := t.expand(args)
+	if err != nil {
+		return nil, err
+	}
+	out := ins.compact()
+	if err := out.Err(); err != nil {
+		return nil, fmt.Errorf("algebra: template %s: %w", t.Name, err)
+	}
+	return out, nil
+}
+
+// expand applies every template member to the bindings, leaving the result
+// in ins.out before compaction.
+func (t *Template) expand(args map[string]Operand) (*instantiation, error) {
 	ins := &instantiation{
 		t:      t,
 		args:   args,
@@ -131,11 +145,7 @@ func (t *Template) Instantiate(args map[string]Operand) (*graph.Graph, error) {
 			return nil, err
 		}
 	}
-	out := ins.compact()
-	if err := out.Err(); err != nil {
-		return nil, fmt.Errorf("algebra: template %s: %w", t.Name, err)
-	}
-	return out, nil
+	return ins, nil
 }
 
 // rep follows unification links to the representative node.
@@ -157,20 +167,28 @@ func (ins *instantiation) embedGraph(m TGraph) error {
 		return fmt.Errorf("algebra: template references unbound graph %s", m.Var)
 	}
 	src := op.Graph
+	nodeAttrs := func(n graph.Node) *graph.Tuple { return n.Attrs }
+	edgeAttrs := func(e graph.Edge) *graph.Tuple { return e.Attrs }
 	if src == nil {
-		if op.Matched == nil {
+		mg := op.Matched
+		if mg == nil {
 			return fmt.Errorf("algebra: operand %s is empty", m.Var)
 		}
-		src = op.Matched.InducedGraph()
+		// A matched operand embeds its InducedGraph view — the motif, each
+		// element carrying its binding's attributes — without
+		// materializing that graph first.
+		src = mg.P.Motif
+		nodeAttrs = func(n graph.Node) *graph.Tuple { return mg.G.Node(mg.M.Nodes[n.ID]).Attrs }
+		edgeAttrs = func(e graph.Edge) *graph.Tuple { return mg.G.Edge(mg.M.Edges[e.ID]).Attrs }
 	}
 	idMap := make([]graph.NodeID, src.NumNodes())
 	for _, n := range src.Nodes() {
-		nid := ins.out.AddNode(ins.freshName(n.Name), n.Attrs.Clone())
+		nid := ins.out.AddNode(ins.freshName(n.Name), nodeAttrs(n).Clone())
 		idMap[n.ID] = nid
 		ins.byKey[m.Var+"."+n.Name] = nid
 	}
 	for _, e := range src.Edges() {
-		ins.out.AddEdge("", idMap[e.From], idMap[e.To], e.Attrs.Clone())
+		ins.out.AddEdge("", idMap[e.From], idMap[e.To], edgeAttrs(e).Clone())
 	}
 	return nil
 }
@@ -385,6 +403,15 @@ func (ins *instantiation) mergeNodes(a, b graph.NodeID) error {
 // redirected to representatives, and duplicate edges (same endpoints and
 // equal attributes) are unified, per §2.1.
 func (ins *instantiation) compact() *graph.Graph {
+	if ins.compacted() {
+		return ins.out
+	}
+	return ins.rebuild()
+}
+
+// rebuild is compact's general case: a fresh graph without the merged
+// nodes and the duplicate edges.
+func (ins *instantiation) rebuild() *graph.Graph {
 	out := graph.New(ins.t.Name)
 	out.Directed = ins.out.Directed
 	out.Attrs = ins.out.Attrs
@@ -417,6 +444,27 @@ func (ins *instantiation) compact() *graph.Graph {
 		out.AddEdge("", u, v, e.Attrs)
 	}
 	return out
+}
+
+// compacted reports that compact would rebuild ins.out unchanged, so the
+// rebuild can be skipped: no node was merged, the graph recorded no
+// construction error, every edge already runs from its lower node ID (the
+// rebuild orders undirected endpoints), and no two edges join the same
+// pair, so none can duplicate another. Every edge of ins.out carries its
+// automatic name, and with nothing dropped the rebuild would give each the
+// same one.
+func (ins *instantiation) compacted() bool {
+	g := ins.out
+	if len(ins.merged) > 0 || g.Err() != nil {
+		return false
+	}
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(graph.EdgeID(i))
+		if e.From > e.To || len(g.EdgesBetween(e.From, e.To)) > 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // templateEnv resolves attribute-template expressions against the operand

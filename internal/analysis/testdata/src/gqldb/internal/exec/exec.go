@@ -73,7 +73,21 @@ func readSnapshot(s *store.DocStore, name string) int {
 	return len(d.Collection()) + len(d.Shards())
 }
 
+// scribbleMemberIndex writes through a large member's shared index, which
+// every selection worker reads: flagged.
+func scribbleMemberIndex(sh *store.Shard) {
+	ix := sh.MemberIndex(0)
+	ix.Profiles[0] = nil // want:aliasguard `element write`
+	ix.Profiles = nil    // want:aliasguard `field write`
+}
+
+// readMemberIndex only reads the shared index: allowed.
+func readMemberIndex(sh *store.Shard) int {
+	return len(sh.MemberIndex(0).Profiles)
+}
+
 // usedAll keeps the corpus cases referenced so the package typechecks
 // without unused-symbol noise under vet.
 var _ = []any{mutateCached, dropCached, renameDoc, scribbleCollection,
-	growCollection, cloneThenMutate, readSnapshot}
+	growCollection, cloneThenMutate, readSnapshot, scribbleMemberIndex,
+	readMemberIndex}

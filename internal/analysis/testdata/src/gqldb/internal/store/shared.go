@@ -17,6 +17,19 @@ func (d *Doc) Collection() []int { return d.coll }
 // Shards returns the shared shard partition.
 func (d *Doc) Shards() []int { return d.coll }
 
+// MemberIndex mimics a large member's shared §4 index.
+type MemberIndex struct {
+	Profiles [][]int32
+}
+
+// Shard mimics one hash partition with per-member indexes.
+type Shard struct {
+	mix []*MemberIndex
+}
+
+// MemberIndex returns the shared index of member li.
+func (sh *Shard) MemberIndex(li int) *MemberIndex { return sh.mix[li] }
+
 // Snapshot mimics the immutable store view.
 type Snapshot struct {
 	docs map[string]*Doc

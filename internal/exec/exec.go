@@ -47,8 +47,6 @@ type Engine struct {
 	// fence, so repeated patterns over unchanged documents skip retrieval,
 	// refinement and ordering. Shared safely by concurrent requests.
 	Plans *match.PlanCache
-	// IxFor optionally supplies per-graph access structures.
-	IxFor func(*graph.Graph) *match.Index
 	// DeriveDepth bounds recursive-motif derivation (default 8).
 	DeriveDepth int
 	// DeriveLimit bounds the number of derived motifs (default 64).
@@ -127,9 +125,12 @@ type Result struct {
 	Trace *obs.Span
 }
 
-// NewOver returns an engine with the default (exhaustive, unoptimized)
-// selection options reading through the given document store; wrap a plain
-// document map with store.FromMap.
+// NewOver returns an engine reading through the given document store (wrap
+// a plain document map with store.FromMap) whose selections are exhaustive
+// with the caller-level options left at their zero value. Those apply to
+// members without an index; the store serves its indexed members (those of
+// at least a measured size) with the paper's §4 access methods instead, and
+// the rows are the same either way (match.FindContext fixes their order).
 func NewOver(docs *store.DocStore) *Engine {
 	return &Engine{Docs: docs, Opts: match.Options{Exhaustive: true}}
 }
@@ -489,7 +490,7 @@ func (env *environment) flwr(f *ast.FLWRStmt) error {
 // the engine holds no selection code of its own.
 func (env *environment) selectDoc(ctx context.Context, d *store.Doc, p *pattern.Pattern, opts match.Options, workers int, emit func(algebra.Matched) error) error {
 	co := &store.Coordinator{Selector: env.engine.Selector}
-	return co.SelectStream(ctx, d, p, opts, env.engine.IxFor, workers, env.stats, emit)
+	return co.SelectStream(ctx, d, p, opts, workers, env.stats, emit)
 }
 
 // instantiate lowers and applies a template declaration. All current graph

@@ -2,11 +2,14 @@ package exec
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"gqldb/internal/algebra"
 	"gqldb/internal/ast"
+	"gqldb/internal/gen"
 	"gqldb/internal/graph"
 	"gqldb/internal/match"
 	"gqldb/internal/obs"
@@ -278,5 +281,70 @@ func TestTraceShardedSelectionCounters(t *testing.T) {
 	}
 	if got := sel["plan_cache_hits"] + sel["plan_cache_misses"] + sel["graph_gate_rejected"]; got != ix["candidates"] {
 		t.Errorf("plan-cache and gate counters cover %d graphs, the filters passed %d", got, ix["candidates"])
+	}
+}
+
+// TestTraceIndexedMember: a document with one large member and two small
+// ones. The store indexes only the large member, the selection span counts
+// it, refinement can only shrink its candidate space, and the rows equal an
+// unindexed baseline selection of the same pattern.
+func TestTraceIndexedMember(t *testing.T) {
+	big := gen.PrefAttach(1024, 4096, 24, 7)
+	coll := graph.Collection{dblp()[0], big, dblp()[1]}
+	rng := rand.New(rand.NewSource(7))
+	p := gen.GraphCliqueQuery(big, 3, rng)
+	if p == nil {
+		t.Fatal("no clique sampled from the large member")
+	}
+	p.Name, p.Motif.Name = "P", "P"
+	src := p.String() + ";\nfor P exhaustive in doc(\"D\") return graph { graph P; };"
+
+	e := newEngine(docs{"D": coll})
+	e.Trace = true
+	res, err := e.RunContext(context.Background(), parse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sel *obs.Span
+	res.Trace.Walk(func(_ int, sp *obs.Span) {
+		if sp.Name == "selection" {
+			sel = sp
+		}
+	})
+	if sel == nil {
+		t.Fatal("no selection span")
+	}
+	if got := sel.Count("indexed"); got != 1 {
+		t.Fatalf("indexed = %d, want 1 (only the large member)", got)
+	}
+	if refined, local := sel.Count("cand_refined"), sel.Count("cand_local"); refined > local {
+		t.Fatalf("cand_refined %d > cand_local %d", refined, local)
+	}
+
+	want, err := algebra.SelectionContext(context.Background(), p, coll, match.Baseline(), nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Out) != len(want) || len(want) == 0 {
+		t.Fatalf("%d rows, baseline has %d", len(res.Out), len(want))
+	}
+	var ret *ast.TemplateDecl
+	for _, st := range parse(t, src).Stmts {
+		if f, ok := st.(*ast.FLWRStmt); ok {
+			ret = f.Return
+		}
+	}
+	tmpl, err := ret.ToTemplate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, mg := range want {
+		exp, err := tmpl.Instantiate(map[string]algebra.Operand{"P": algebra.MatchedOperand(mg)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Out[i].Signature() != exp.Signature() {
+			t.Fatalf("row %d differs from the baseline:\n%s\nwant\n%s", i, res.Out[i].Signature(), exp.Signature())
+		}
 	}
 }

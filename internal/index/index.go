@@ -13,7 +13,9 @@ import (
 )
 
 // Interner maps label strings to dense int32 IDs so profiles and frequency
-// tables work on integers.
+// tables work on integers. A LabelIndex's interner is filled once, at build,
+// and only read afterwards (Lookup, Name), so concurrent selections can share
+// it; nothing may Intern into it after the build.
 type Interner struct {
 	ids   map[string]int32
 	names []string
@@ -64,32 +66,54 @@ type LabelIndex struct {
 	numEdges int
 }
 
-// BuildLabelIndex scans g once and builds the index and statistics.
+// BuildLabelIndex scans g once and builds the index and statistics. Node
+// IDs are grouped by interned label in that one pass (so every posting list
+// is ascending), and each label's list goes into the B-tree with one insert.
 func BuildLabelIndex(g *graph.Graph) *LabelIndex {
+	n := g.NumNodes()
 	ix := &LabelIndex{
 		In:        NewInterner(),
-		nodeLabel: make([]int32, g.NumNodes()),
+		nodeLabel: make([]int32, n),
 		edgeFreq:  make(map[[2]int32]int),
-		numNodes:  g.NumNodes(),
+		numNodes:  n,
 		numEdges:  g.NumEdges(),
 	}
-	for _, n := range g.Nodes() {
-		l := g.Label(n.ID)
-		id := ix.In.Intern(l)
-		ix.nodeLabel[n.ID] = id
-		for int(id) >= len(ix.freq) {
+	for v := 0; v < n; v++ {
+		id := ix.In.Intern(g.Label(graph.NodeID(v)))
+		ix.nodeLabel[v] = id
+		if int(id) == len(ix.freq) {
 			ix.freq = append(ix.freq, 0)
 		}
 		ix.freq[id]++
-		ix.tree.Update(l, func(old []graph.NodeID, _ bool) []graph.NodeID {
-			return append(old, n.ID)
-		})
+	}
+	// One backing array for every posting list, carved by label in ID
+	// order: offsets are the running sums of the frequencies.
+	all := make([]graph.NodeID, n)
+	next := make([]int, len(ix.freq))
+	off := 0
+	for id, f := range ix.freq {
+		next[id] = off
+		off += f
+	}
+	for v, id := range ix.nodeLabel {
+		all[next[id]] = graph.NodeID(v)
+		next[id]++
+	}
+	lo := 0
+	for id, f := range ix.freq {
+		ix.tree.Set(ix.In.Name(int32(id)), all[lo:lo+f:lo+f])
+		lo += f
 	}
 	for _, e := range g.Edges() {
 		ix.edgeFreq[ix.pairKey(ix.nodeLabel[e.From], ix.nodeLabel[e.To])]++
 	}
 	return ix
 }
+
+// NodeLabels returns the interned label of every node, indexed by node ID —
+// the label vector BuildNeighborhoods takes. The slice is shared and must
+// not be modified.
+func (ix *LabelIndex) NodeLabels() []int32 { return ix.nodeLabel }
 
 func (ix *LabelIndex) pairKey(a, b int32) [2]int32 {
 	if a > b {
@@ -107,11 +131,8 @@ func (ix *LabelIndex) Lookup(label string) []graph.NodeID {
 
 // Freq returns how many nodes carry the label.
 func (ix *LabelIndex) Freq(label string) int {
-	// The interner is shared with pattern-side neighborhoods, so an ID may
-	// have been allocated after the index was built; such labels have
-	// frequency zero in the data graph.
 	id, ok := ix.In.Lookup(label)
-	if !ok || int(id) >= len(ix.freq) {
+	if !ok {
 		return 0
 	}
 	return ix.freq[id]

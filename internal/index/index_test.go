@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -90,7 +91,7 @@ func TestTopLabels(t *testing.T) {
 func TestProfilesFig417(t *testing.T) {
 	g := fig416(t)
 	ix := BuildLabelIndex(g)
-	nb := BuildNeighborhoods(g, ix.In, 1, true)
+	nb := BuildNeighborhoods(g, ix.NodeLabels(), 1, true)
 	want := map[string]string{
 		"A1": "ABCC",
 		"A2": "AB",
@@ -146,7 +147,7 @@ func TestProfileContains(t *testing.T) {
 func TestSubgraphPruningFig417(t *testing.T) {
 	g := fig416(t)
 	ix := BuildLabelIndex(g)
-	nb := BuildNeighborhoods(g, ix.In, 1, true)
+	nb := BuildNeighborhoods(g, ix.NodeLabels(), 1, true)
 
 	// Pattern: triangle A-B-C; its radius-1 neighborhoods are the whole
 	// triangle for each node.
@@ -157,7 +158,7 @@ func TestSubgraphPruningFig417(t *testing.T) {
 	pg.AddEdge("", pa, pb, nil)
 	pg.AddEdge("", pb, pc, nil)
 	pg.AddEdge("", pc, pa, nil)
-	pnb := BuildNeighborhoods(pg, ix.In, 1, true)
+	pnb := BuildNeighborhoods(pg, lookupLabels(t, pg, ix.In), 1, true)
 
 	keepSub := map[string][]string{"a": nil, "b": nil, "c": nil}
 	keepProf := map[string][]string{"a": nil, "b": nil, "c": nil}
@@ -185,6 +186,21 @@ func TestSubgraphPruningFig417(t *testing.T) {
 	}
 }
 
+// lookupLabels maps every node of g to its label's ID in in, which must
+// already hold each label.
+func lookupLabels(t *testing.T, g *graph.Graph, in *Interner) []int32 {
+	t.Helper()
+	out := make([]int32, g.NumNodes())
+	for v := range out {
+		id, ok := in.Lookup(g.Label(graph.NodeID(v)))
+		if !ok {
+			t.Fatalf("label %q not interned", g.Label(graph.NodeID(v)))
+		}
+		out[v] = id
+	}
+	return out
+}
+
 func sameStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -205,9 +221,9 @@ func TestRadius2Profiles(t *testing.T) {
 	c := g.AddNode("c", graph.TupleOf("", "label", "C"))
 	g.AddEdge("", a, b, nil)
 	g.AddEdge("", b, c, nil)
-	in := NewInterner()
-	nb1 := BuildNeighborhoods(g, in, 1, false)
-	nb2 := BuildNeighborhoods(g, in, 2, false)
+	labels := BuildLabelIndex(g).NodeLabels()
+	nb1 := BuildNeighborhoods(g, labels, 1, false)
+	nb2 := BuildNeighborhoods(g, labels, 2, false)
 	if len(nb1.Profiles[a]) != 2 {
 		t.Errorf("radius-1 profile of a has %d labels, want 2", len(nb1.Profiles[a]))
 	}
@@ -222,8 +238,7 @@ func TestSubgraphImpliesProfile(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomLabelled(rng, 12, 20, 3)
-		in := NewInterner()
-		nb := BuildNeighborhoods(g, in, 1, true)
+		nb := BuildNeighborhoods(g, BuildLabelIndex(g).NodeLabels(), 1, true)
 		// Compare every pair of nodes as (pattern-center, data-center).
 		for u := 0; u < g.NumNodes(); u++ {
 			for v := 0; v < g.NumNodes(); v++ {
@@ -245,8 +260,7 @@ func TestSubgraphImpliesProfile(t *testing.T) {
 func TestNeighborhoodReflexive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomLabelled(rng, 30, 60, 4)
-	in := NewInterner()
-	nb := BuildNeighborhoods(g, in, 1, true)
+	nb := BuildNeighborhoods(g, BuildLabelIndex(g).NodeLabels(), 1, true)
 	for v := 0; v < g.NumNodes(); v++ {
 		if !SubIsomorphic(nb.Subs[v], nb.Subs[v]) {
 			t.Fatalf("node %d: neighborhood not self-sub-isomorphic", v)
@@ -269,4 +283,101 @@ func randomLabelled(rng *rand.Rand, n, m, labels int) *graph.Graph {
 		}
 	}
 	return g
+}
+
+// TestIndexMatchesReference checks the label index and the radius-1 and
+// radius-2 profiles against brute force on random graphs, directed and
+// undirected: Lookup(l) is every node labelled l in ID order, Freq and
+// EdgeFreq count by scanning, and a profile is the sorted label multiset of
+// the nodes within the radius (reached over edges of either orientation).
+func TestIndexMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 40; iter++ {
+		g := randomLabelled(rng, 1+rng.Intn(40), rng.Intn(120), 1+rng.Intn(6))
+		if iter%2 == 1 {
+			// A directed copy: Directed must be set before edges are added.
+			d := graph.New("D")
+			d.Directed = true
+			for _, n := range g.Nodes() {
+				d.AddNode("", n.Attrs)
+			}
+			for _, e := range g.Edges() {
+				d.AddEdge("", e.From, e.To, nil)
+			}
+			g = d
+		}
+		ix := BuildLabelIndex(g)
+		for l := 0; l < 7; l++ {
+			label := string(rune('A' + l))
+			var want []graph.NodeID
+			for _, n := range g.Nodes() {
+				if g.Label(n.ID) == label {
+					want = append(want, n.ID)
+				}
+			}
+			got := ix.Lookup(label)
+			if len(got) != len(want) || ix.Freq(label) != len(want) {
+				t.Fatalf("iter %d: Lookup(%s) = %v (freq %d), want %v", iter, label, got, ix.Freq(label), want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("iter %d: Lookup(%s) = %v, want %v", iter, label, got, want)
+				}
+			}
+			for l2 := 0; l2 < 7; l2++ {
+				label2 := string(rune('A' + l2))
+				n := 0
+				for _, e := range g.Edges() {
+					a, b := g.Label(e.From), g.Label(e.To)
+					if (a == label && b == label2) || (a == label2 && b == label) {
+						n++
+					}
+				}
+				if got := ix.EdgeFreq(label, label2); got != n {
+					t.Fatalf("iter %d: EdgeFreq(%s,%s) = %d, want %d", iter, label, label2, got, n)
+				}
+			}
+		}
+		for radius := 1; radius <= 2; radius++ {
+			nb := BuildNeighborhoods(g, ix.NodeLabels(), radius, false)
+			for v := 0; v < g.NumNodes(); v++ {
+				dist := map[graph.NodeID]int{graph.NodeID(v): 0}
+				frontier := []graph.NodeID{graph.NodeID(v)}
+				for d := 1; d <= radius; d++ {
+					var next []graph.NodeID
+					for _, e := range g.Edges() {
+						for _, w := range frontier {
+							for _, x := range [2][2]graph.NodeID{{e.From, e.To}, {e.To, e.From}} {
+								if x[0] != w {
+									continue
+								}
+								if _, ok := dist[x[1]]; !ok {
+									dist[x[1]] = d
+									next = append(next, x[1])
+								}
+							}
+						}
+					}
+					frontier = next
+				}
+				var want []string
+				for w := range dist {
+					want = append(want, g.Label(w))
+				}
+				sort.Strings(want)
+				prof := nb.Profiles[v]
+				var got []string
+				for i, id := range prof {
+					if i > 0 && prof[i-1] > id {
+						t.Fatalf("iter %d radius %d: profile(%d) = %v is not sorted", iter, radius, v, prof)
+					}
+					got = append(got, ix.In.Name(id))
+				}
+				sort.Strings(got)
+				if !sameStrings(got, want) {
+					t.Fatalf("iter %d radius %d: profile(%d) = %v, want %v", iter, radius, v, got, want)
+				}
+			}
+		}
+	}
 }

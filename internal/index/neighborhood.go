@@ -1,7 +1,7 @@
 package index
 
 import (
-	"sort"
+	"slices"
 
 	"gqldb/internal/graph"
 )
@@ -47,9 +47,10 @@ type Neighborhoods struct {
 }
 
 // BuildNeighborhoods computes profiles (always) and neighborhood subgraphs
-// (when withSubgraphs) for every node of g. Labels are interned through in,
-// so data and pattern neighborhoods share one label space.
-func BuildNeighborhoods(g *graph.Graph, in *Interner, radius int, withSubgraphs bool) *Neighborhoods {
+// (when withSubgraphs) for every node of g. labels[v] is node v's interned
+// label (LabelIndex.NodeLabels for a data graph), so data and pattern
+// neighborhoods share one label space; it is only read.
+func BuildNeighborhoods(g *graph.Graph, labels []int32, radius int, withSubgraphs bool) *Neighborhoods {
 	n := g.NumNodes()
 	nb := &Neighborhoods{
 		Radius:   radius,
@@ -58,23 +59,28 @@ func BuildNeighborhoods(g *graph.Graph, in *Interner, radius int, withSubgraphs 
 	if withSubgraphs {
 		nb.Subs = make([]*NbrSub, n)
 	}
-	labels := make([]int32, n)
-	for v := 0; v < n; v++ {
-		labels[v] = in.Intern(g.Label(graph.NodeID(v)))
-	}
 	// Scratch for BFS ball collection.
 	seen := make([]int, n)
 	for i := range seen {
 		seen[i] = -1
 	}
 	var ball []graph.NodeID
+	// Profiles are carved off one arena sized for radius 1 (a ball holds
+	// the center plus at most its adjacency), so the common case allocates
+	// once; a larger radius opens further blocks as needed.
+	var arena []int32
 	for v := 0; v < n; v++ {
 		ball = collectBall(g, graph.NodeID(v), radius, seen, v, ball[:0])
-		prof := make([]int32, len(ball))
+		if cap(arena)-len(arena) < len(ball) {
+			arena = make([]int32, 0, max(len(ball), n+2*g.NumEdges()))
+		}
+		k := len(arena) + len(ball)
+		prof := arena[len(arena):k:k]
+		arena = arena[:k]
 		for i, w := range ball {
 			prof[i] = labels[w]
 		}
-		sort.Slice(prof, func(i, j int) bool { return prof[i] < prof[j] })
+		slices.Sort(prof)
 		nb.Profiles[v] = prof
 		if withSubgraphs {
 			nb.Subs[v] = buildSub(g, ball, labels)

@@ -226,7 +226,7 @@ type Index struct {
 func BuildIndex(g *graph.Graph, radius int, withSubgraphs bool) *Index {
 	ix := &Index{G: g, Labels: index.BuildLabelIndex(g)}
 	if radius > 0 {
-		ix.Nbr = index.BuildNeighborhoods(g, ix.Labels.In, radius, withSubgraphs)
+		ix.Nbr = index.BuildNeighborhoods(g, ix.Labels.NodeLabels(), radius, withSubgraphs)
 	}
 	return ix
 }
@@ -243,6 +243,16 @@ func Find(p *pattern.Pattern, g *graph.Graph, ix *Index, opt Options) ([]Mapping
 // is polled on every backtracking step of the Algorithm 4.1 search (and
 // between the retrieval/refinement phases), so a cancelled selection
 // returns ctx.Err() within one step — not only between graphs.
+//
+// Answer order is defined by the query, not by the plan: a member's
+// mappings come back sorted lexicographically by Mapping.Nodes, pattern
+// nodes in declaration order, so every combination of options returns the
+// same rows in the same order. A plan that searches in declaration order
+// without AdjIterate already enumerates in that order and skips the sort.
+// Edges need no key: Algorithm 4.1's check takes the first satisfying
+// witness in EdgesBetween for each placed pair, whichever end came first.
+// With a Limit or first-match, the rows returned are the plan's first ones,
+// sorted; under declaration order they are the baseline's prefix.
 //
 // The pattern's graph gate is checked first, once per call: a graph whose
 // attributes fail it has no mappings, and the call returns before the

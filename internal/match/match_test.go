@@ -1,7 +1,10 @@
 package match
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"gqldb/internal/expr"
@@ -664,5 +667,63 @@ func TestCandidateMonotonicity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSharedIndexConcurrentFind: one index shared by concurrent optimized
+// evaluations whose patterns carry labels the graph lacks and unlabelled
+// nodes. The pattern-side profiles must only read the index's interner
+// (run under -race); the answers must equal the baseline's.
+func TestSharedIndexConcurrentFind(t *testing.T) {
+	g := fig416()
+	ix := BuildIndex(g, 1, false)
+	mk := func(i int) *pattern.Pattern {
+		p := pattern.New("P")
+		a := p.LabelNode("a", "A")
+		b := p.LabelNode("b", fmt.Sprintf("Z%d", i))
+		c := p.AddNode("c", nil, nil)
+		p.AddEdge("", a, b, nil, nil)
+		p.AddEdge("", a, c, nil, nil)
+		return p
+	}
+	var wg sync.WaitGroup
+	errs := make([]string, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p := mk(w*50 + i)
+				ms, _, err := Find(p, g, ix, Optimized())
+				if err != nil || len(ms) != 0 {
+					errs[w] = fmt.Sprintf("worker %d: %d rows, err %v", w, len(ms), err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != "" {
+			t.Fatal(e)
+		}
+	}
+	if _, ok := ix.Labels.In.Lookup("Z0"); ok {
+		t.Fatal("a pattern label was interned into the shared index")
+	}
+	p := pattern.New("P")
+	a := p.LabelNode("a", "A")
+	c := p.AddNode("c", nil, nil)
+	p.AddEdge("", a, c, nil, nil)
+	got, _, err := Find(p, g, ix, Optimized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := Find(p, g, nil, Baseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("optimized rows %v, baseline rows %v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package match
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"gqldb/internal/graph"
@@ -160,11 +161,32 @@ func (s *searcher) run() error {
 		start = time.Now()
 	}
 	s.search()
+	if !s.emitsCanonical() {
+		slices.SortFunc(s.out, func(a, b Mapping) int { return slices.Compare(a.Nodes, b.Nodes) })
+	}
 	if timed {
 		s.stats.SearchTime = time.Since(start)
 	}
 	s.stats.NumMatches = len(s.out)
 	return s.ctxErr
+}
+
+// emitsCanonical reports whether the search already emits mappings in the
+// answer order FindContext defines: declaration search order, candidates
+// drawn straight from Φ. Every Φ list is ascending by construction
+// (retrieval scans ordinals or a label index's ascending posting list, and
+// pruning and refinement only filter), so the depth-first enumeration is
+// then lexicographic in Mapping.Nodes.
+func (s *searcher) emitsCanonical() bool {
+	if s.opt.AdjIterate {
+		return false
+	}
+	for i, u := range s.order {
+		if int(u) != i {
+			return false
+		}
+	}
+	return true
 }
 
 // adoptPlan installs a shared cached plan. The feasible-mate lists are
@@ -221,16 +243,17 @@ func (s *searcher) retrieve() error {
 			return nil
 		}
 		uid := graph.NodeID(u)
-		// The label index narrows the scan when u has a constant label;
-		// otherwise (cands nil) every data node is a candidate, visited by
-		// ordinal without materializing the list.
+		// The label index narrows the scan when u has a constant label (a
+		// label the graph lacks gives no candidate); otherwise every data
+		// node is a candidate, visited by ordinal without materializing the
+		// list.
 		var cands []graph.NodeID
+		scan := true
 		if s.ix != nil {
 			if label, ok := s.p.ConstLabel(uid); ok {
-				cands = s.ix.Labels.Lookup(label)
+				cands, scan = s.ix.Labels.Lookup(label), false
 			}
 		}
-		scan := cands == nil
 		size := len(cands)
 		if scan {
 			size = s.g.NumNodes()
@@ -291,41 +314,39 @@ func (s *searcher) retrieve() error {
 // subgraphs) for the pattern's motif using constant-label constraints. A
 // motif node without a constant label contributes nothing to profiles; a
 // neighborhood containing such a node gets no subgraph (the exact test
-// needs every member labelled).
+// needs every member labelled). Labels are only looked up in the data
+// index's interner, never added — the index is shared by concurrent
+// selections — so a label the data graph lacks gets an ID no data node
+// carries, and every pattern node whose neighborhood holds it keeps no
+// feasible mate.
 func patternNeighborhoods(p *pattern.Pattern, in *index.Interner, radius int, withSubs bool) ([][]int32, []*index.NbrSub) {
+	const unlabelled = -1
+	absent := int32(in.Len())
 	m := p.Motif
-	labelled := graph.New("pn")
-	labelled.Directed = m.Directed
+	labels := make([]int32, m.NumNodes())
 	allLabelled := true
-	known := make([]bool, m.NumNodes())
 	for _, nd := range m.Nodes() {
 		l, ok := p.ConstLabel(nd.ID)
-		known[nd.ID] = ok
 		if !ok {
 			allLabelled = false
-			l = "\x00unlabelled"
+			labels[nd.ID] = unlabelled
+			continue
 		}
-		labelled.AddNode(nd.Name, graph.TupleOf("", "label", l))
-	}
-	for _, e := range m.Edges() {
-		labelled.AddEdge(e.Name, e.From, e.To, nil)
-	}
-
-	full := index.BuildNeighborhoods(labelled, in, radius, withSubs && allLabelled)
-	profiles := make([][]int32, m.NumNodes())
-	unl, hasUnl := in.Lookup("\x00unlabelled")
-	for u := range profiles {
-		prof := full.Profiles[u]
-		if hasUnl {
-			trimmed := make([]int32, 0, len(prof))
-			for _, l := range prof {
-				if l != unl {
-					trimmed = append(trimmed, l)
-				}
-			}
-			prof = trimmed
+		id, known := in.Lookup(l)
+		if !known {
+			id = absent
 		}
-		profiles[u] = prof
+		labels[nd.ID] = id
+	}
+	full := index.BuildNeighborhoods(m, labels, radius, withSubs && allLabelled)
+	profiles := full.Profiles
+	if !allLabelled {
+		// Profiles are sorted and real IDs are non-negative, so the
+		// unlabelled entries lead: drop them.
+		for u, prof := range profiles {
+			i, _ := slices.BinarySearch(prof, 0)
+			profiles[u] = prof[i:]
+		}
 	}
 	var subs []*index.NbrSub
 	if withSubs && allLabelled {

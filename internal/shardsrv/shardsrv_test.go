@@ -8,12 +8,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"gqldb/internal/gen"
 	"gqldb/internal/graph"
 	"gqldb/internal/match"
 	"gqldb/internal/parser"
@@ -324,5 +326,101 @@ func TestSelectGraphGate(t *testing.T) {
 		if last := frames[len(frames)-1]; last.T != "done" || last.Candidates != len(sh.Coll) {
 			t.Errorf("shard %d: last frame = %+v, want done with %d candidates", shard, last, len(sh.Coll))
 		}
+	}
+}
+
+// TestSyncedLargeMemberSelect: a mirror that receives a document through
+// /shard/sync indexes its large members with the same store code as the
+// frontend, and /shard/select over them answers exactly the groups the
+// in-process coordinator finds on the frontend's copy.
+func TestSyncedLargeMemberSelect(t *testing.T) {
+	var coll graph.Collection
+	for i := 0; i < 6; i++ {
+		var g *graph.Graph
+		if i%3 == 1 {
+			g = gen.PrefAttach(1024, 4096, 16, int64(i))
+		} else {
+			g = gen.ER(12, 24, 4, int64(i))
+		}
+		g.Name = fmt.Sprintf("g%d", 2*i)
+		coll = append(coll, g)
+	}
+	front := store.New(store.Options{Shards: 2})
+	if _, err := front.RegisterDoc("db", coll); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := front.Snapshot().Doc("db")
+
+	var body bytes.Buffer
+	if err := graph.WriteBinary(&body, coll); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Shards: 2})
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/shard/sync?doc=db", &body))
+	if rec.Code != 200 {
+		t.Fatalf("sync: status %d (%s)", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	mirror, _ := srv.store.Snapshot().Doc("db")
+	if mirror.ContentHash() != d.ContentHash() {
+		t.Fatal("mirror content differs from the frontend's")
+	}
+	indexed := 0
+	for _, sh := range mirror.Shards() {
+		for li, g := range sh.Coll {
+			if sh.MemberIndex(li) != nil {
+				indexed++
+				if g.NumNodes() < 1024 {
+					t.Fatalf("mirror indexed small member %s", g.Name)
+				}
+			}
+		}
+	}
+	if indexed != 2 {
+		t.Fatalf("mirror indexed %d members, want the 2 large ones", indexed)
+	}
+
+	p := gen.GraphCliqueQuery(coll[1], 3, rand.New(rand.NewSource(3)))
+	if p == nil {
+		t.Fatal("no clique sampled")
+	}
+	if err := p.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	opt := match.Options{Exhaustive: true}
+	all, err := (&store.Coordinator{}).Select(context.Background(), d, p, opt, nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shard, sh := range d.Shards() {
+		ord := map[*graph.Graph]int{}
+		for li, g := range sh.Coll {
+			ord[g] = li
+		}
+		var want []string
+		for _, m := range all {
+			if li, ok := ord[m.G]; ok {
+				want = append(want, fmt.Sprintf("group %d %v %v", li, m.M.Nodes, m.M.Edges))
+			}
+		}
+		req := store.WireRequest{
+			Doc: "db", Shard: shard, Shards: 2, Version: mirror.Version(), Hash: d.ContentHash(),
+			Workers: 2, Pattern: store.EncodePattern(p), Options: store.EncodeOptions(opt),
+		}
+		var got []string
+		for _, f := range postSelect(t, srv, encodeRequest(t, req)) {
+			if f.T == "error" {
+				t.Fatalf("shard %d: error frame %+v", shard, f)
+			}
+			for _, m := range f.Matches {
+				got = append(got, fmt.Sprintf("group %d %v %v", f.Ord, m.Nodes, m.Edges))
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("shard %d: mirror answered\n%v\nthe coordinator found\n%v", shard, got, want)
+		}
+	}
+	if len(all) == 0 {
+		t.Fatal("degenerate fixture: the clique has no match")
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"gqldb/internal/algebra"
@@ -20,10 +21,6 @@ type ShardRequest struct {
 	Shard *Shard
 	P     *pattern.Pattern
 	Opt   match.Options
-	// IxFor supplies optional per-graph access structures (the §4.1 value
-	// indexes), exactly as in algebra.SelectionContext. Not serializable —
-	// an RPC implementation rebuilds it shard-side.
-	IxFor func(*graph.Graph) *match.Index
 	// Workers bounds the shard-local fan-out (resolved, >= 1).
 	Workers int
 	// Doc is the owning document and Index the shard's ordinal in
@@ -38,7 +35,7 @@ type ShardRequest struct {
 // filter counters the coordinator aggregates into its trace span.
 type ShardResult struct {
 	// Groups is parallel to Shard.Coll: Groups[i] holds the bindings of
-	// member graph i in discovery order (nil when it matched nothing or was
+	// member graph i in answer order (nil when it matched nothing or was
 	// pruned by the shard index).
 	Groups []algebra.Matched
 	// Candidates is how many member graphs survived the shard-index filter
@@ -103,7 +100,8 @@ func (sh *Shard) candidates(ctx context.Context, p *pattern.Pattern) ([]int32, e
 }
 
 // LocalSelector is the in-process ShardSelector: the shard's index filter,
-// then the selection kernel over the survivors, collected into Groups.
+// then the selection kernel over the survivors with the shard's per-member
+// access methods, collected into Groups.
 type LocalSelector struct{}
 
 // SelectShard implements ShardSelector.
@@ -115,7 +113,7 @@ func (LocalSelector) SelectShard(ctx context.Context, req ShardRequest) (ShardRe
 		return res, err
 	}
 	res.Candidates = len(cands)
-	err = algebra.SelectStream(ctx, req.P, sh.Coll, cands, req.Opt, req.IxFor, req.Workers, func(li int, group algebra.Matched) error {
+	err = algebra.SelectStream(ctx, req.P, sh.Coll, cands, req.Opt, sh.method(), req.Workers, func(li int, group algebra.Matched) error {
 		res.Groups[li] = group
 		return nil
 	})
@@ -140,9 +138,16 @@ type Coordinator struct {
 // workers bounds the total fan-out: shards run concurrently (at most
 // workers at once) and each shard's local pool gets an equal share, so the
 // end-to-end goroutine count stays ~workers regardless of shard count.
+//
+// Members are matched with the store's own per-member indexes. The ixFor
+// argument is kept for source compatibility with older callers and must be
+// nil: a per-call index would bypass the store's and is rejected.
 func (co *Coordinator) Select(ctx context.Context, d *Doc, p *pattern.Pattern, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int, stats *match.Stats) (algebra.Matched, error) {
+	if ixFor != nil {
+		return nil, errors.New("store: Select takes no per-call index; members use the store's own")
+	}
 	var out algebra.Matched
-	err := co.SelectStream(ctx, d, p, opt, ixFor, workers, stats, func(ms algebra.Matched) error {
+	err := co.SelectStream(ctx, d, p, opt, workers, stats, func(ms algebra.Matched) error {
 		out = append(out, ms...)
 		return nil
 	})
@@ -169,7 +174,7 @@ func (co *Coordinator) Select(ctx context.Context, d *Doc, p *pattern.Pattern, o
 // emit runs on the calling goroutine; an emit error (including the streaming
 // pipeline's early-stop sentinel) cancels the remaining work and is returned
 // as-is.
-func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Pattern, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int, stats *match.Stats, emit func(algebra.Matched) error) error {
+func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Pattern, opt match.Options, workers int, stats *match.Stats, emit func(algebra.Matched) error) error {
 	if err := p.Compile(); err != nil {
 		return err
 	}
@@ -179,7 +184,7 @@ func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Patt
 	}
 	shards := d.Shards()
 	if _, local := sel.(LocalSelector); local && len(shards) == 1 {
-		return selectOneShard(ctx, shards[0], p, opt, ixFor, workers, stats, emit)
+		return selectOneShard(ctx, shards[0], p, opt, workers, stats, emit)
 	}
 	resolved := pool.Workers(workers, d.Len())
 	outer := resolved
@@ -221,7 +226,7 @@ func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Patt
 	results := make([]ShardResult, len(shards))
 	go func() {
 		perr <- pool.Run(fanCtx, len(shards), outer, func(i int) error {
-			req := ShardRequest{Shard: shards[i], P: p, Opt: opt, IxFor: ixFor, Workers: inner, Doc: d, Index: i}
+			req := ShardRequest{Shard: shards[i], P: p, Opt: opt, Workers: inner, Doc: d, Index: i}
 			res, err := sel.SelectShard(fanCtx, req)
 			if err != nil {
 				return err
@@ -338,14 +343,14 @@ func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Patt
 
 // selectOneShard is the unsharded in-process path of SelectStream: filter,
 // then the kernel, with the op-level records of a plain selection.
-func selectOneShard(ctx context.Context, sh *Shard, p *pattern.Pattern, opt match.Options, ixFor func(*graph.Graph) *match.Index, workers int, stats *match.Stats, emit func(algebra.Matched) error) error {
+func selectOneShard(ctx context.Context, sh *Shard, p *pattern.Pattern, opt match.Options, workers int, stats *match.Stats, emit func(algebra.Matched) error) error {
 	cands, err := sh.candidates(ctx, p)
 	if err != nil {
 		return err
 	}
 	matches := 0
 	start := time.Now()
-	err = algebra.SelectStream(ctx, p, sh.Coll, cands, opt, ixFor, workers, func(_ int, group algebra.Matched) error {
+	err = algebra.SelectStream(ctx, p, sh.Coll, cands, opt, sh.method(), workers, func(_ int, group algebra.Matched) error {
 		matches += len(group)
 		return emit(group)
 	})

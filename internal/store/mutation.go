@@ -20,6 +20,7 @@ import (
 
 	"gqldb/internal/gindex"
 	"gqldb/internal/graph"
+	"gqldb/internal/match"
 	"gqldb/internal/obs"
 )
 
@@ -463,7 +464,9 @@ func clampShards(shards, collLen int) int {
 // rebuildShard copies one shard with the changed canonical ordinals
 // replaced (same shard-local position) or appended (canonical ordinals
 // past the base keep Ords ascending because appends grow the collection
-// tail). The shard's path index is updated incrementally from the old one.
+// tail). The shard's path index is updated incrementally from the old one;
+// each changed member's §4 index is rebuilt (or dropped, when the member
+// shrank below indexMinNodes) and every other member keeps its own.
 func rebuildShard(old *Shard, coll graph.Collection, changedOrds []int, ixLen int) *Shard {
 	sort.Ints(changedOrds)
 	ns := &Shard{
@@ -491,6 +494,13 @@ func rebuildShard(old *Shard, coll graph.Collection, changedOrds []int, ixLen in
 		} else {
 			ns.Ix = gindex.Build(ns.Coll, ixLen)
 		}
+	}
+	if old.mix != nil {
+		ns.mix = make([]*match.Index, len(ns.Coll))
+		copy(ns.mix, old.mix)
+	}
+	for _, li := range changedLocal {
+		ns.indexMember(int(li))
 	}
 	return ns
 }

@@ -32,8 +32,10 @@ import (
 	"sort"
 	"sync"
 
+	"gqldb/internal/algebra"
 	"gqldb/internal/gindex"
 	"gqldb/internal/graph"
+	"gqldb/internal/match"
 )
 
 // Options configures a DocStore.
@@ -239,8 +241,8 @@ func (d *Doc) Sharded() bool { return len(d.shards) > 1 }
 
 // Shard is one hash partition of a document: the member graphs it owns,
 // their ordinals in the document's canonical order (ascending — the
-// partition preserves relative order), and an optional path-feature index
-// over just this shard.
+// partition preserves relative order), an optional path-feature index over
+// just this shard, and the §4 per-graph index of every large member.
 type Shard struct {
 	// Ords maps shard-local position to canonical-collection ordinal.
 	Ords []int32
@@ -248,6 +250,77 @@ type Shard struct {
 	Coll graph.Collection
 	// Ix is the shard-local path index (nil when indexing is disabled).
 	Ix *gindex.Index
+	// mix[li] is member li's label index and radius-1 profiles, built when
+	// it has at least indexMinNodes nodes; nil (the whole slice, when no
+	// member qualifies) otherwise.
+	mix []*match.Index
+}
+
+// indexMinNodes is the member size, in nodes, from which the store keeps a
+// match.Index and serves the member with the paper's access methods: below
+// it the baseline scan is cheaper per query than profile pruning,
+// refinement and greedy ordering. DESIGN.md §9 has the measured crossover
+// this constant is read from.
+const indexMinNodes = 128
+
+// MemberIndex returns the §4 index of shard-local member li, or nil when
+// the member is below indexMinNodes. The index is shared read-only by every
+// selection worker; callers must not modify it.
+func (sh *Shard) MemberIndex(li int) *match.Index {
+	if sh.mix == nil {
+		return nil
+	}
+	return sh.mix[li]
+}
+
+// indexMember builds member li's index when it is large enough and drops it
+// otherwise. The shard must still be private to its builder.
+func (sh *Shard) indexMember(li int) {
+	g := sh.Coll[li]
+	if g.NumNodes() < indexMinNodes {
+		if sh.mix != nil {
+			sh.mix[li] = nil
+		}
+		return
+	}
+	if sh.mix == nil {
+		sh.mix = make([]*match.Index, len(sh.Coll))
+	}
+	sh.mix[li] = match.BuildIndex(g, 1, false)
+}
+
+// method is the per-member access-method rule the shard hands the
+// selection kernel (nil when no member is indexed, which keeps the
+// caller's options for every member). It chooses from what the kernel can
+// observe:
+//
+//   - an unindexed member: the caller's options, unchanged;
+//   - an indexed member, every row wanted (exhaustive, no Limit):
+//     match.Optimized — profile pruning, refinement and the greedy §4.4
+//     order;
+//   - an indexed member, first-match or a Limit: profile pruning and
+//     refinement in declaration order, so the rows kept are the same prefix
+//     the baseline would return.
+//
+// Answer order does not depend on the choice: match.FindContext defines it
+// by the query.
+func (sh *Shard) method() algebra.Method {
+	if sh.mix == nil {
+		return nil
+	}
+	return func(li int, opt match.Options) (*match.Index, match.Options) {
+		ix := sh.mix[li]
+		if ix == nil {
+			return nil, opt
+		}
+		o := match.Optimized()
+		if !opt.Exhaustive || opt.Limit > 0 {
+			o.Order, o.FreqGamma = match.OrderInput, false
+		}
+		o.Exhaustive, o.Limit = opt.Exhaustive, opt.Limit
+		o.CollectStats, o.Plans, o.PlanEpoch = opt.CollectStats, opt.Plans, opt.PlanEpoch
+		return ix, o
+	}
 }
 
 // DocBuilder accumulates a document's collection and partitions it into
@@ -272,8 +345,10 @@ func NewDocBuilder(name string, shards, indexMaxLen int) *DocBuilder {
 // safe for concurrent use.
 func (b *DocBuilder) Add(g *graph.Graph) { b.coll = append(b.coll, g) }
 
-// Build partitions the accumulated collection and builds the per-shard
-// indexes. The returned Doc is immutable; the builder must not be reused.
+// Build partitions the accumulated collection and builds the per-shard path
+// indexes and the per-member §4 indexes of members with at least
+// indexMinNodes nodes. The returned Doc is immutable; the builder must not
+// be reused.
 func (b *DocBuilder) Build() *Doc {
 	d := &Doc{Name: b.name, coll: b.coll}
 	n := clampShards(b.shards, len(b.coll))
@@ -287,9 +362,12 @@ func (b *DocBuilder) Build() *Doc {
 		sh.Ords = append(sh.Ords, int32(ord))
 		sh.Coll = append(sh.Coll, g)
 	}
-	if b.ixLen > 0 {
-		for _, sh := range shards {
+	for _, sh := range shards {
+		if b.ixLen > 0 {
 			sh.Ix = gindex.Build(sh.Coll, b.ixLen)
+		}
+		for li := range sh.Coll {
+			sh.indexMember(li)
 		}
 	}
 	d.shards = shards
