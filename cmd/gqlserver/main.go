@@ -28,9 +28,10 @@
 // restart replays checkpoint + log over the -doc bootstrap to reach the
 // exact pre-crash store.
 //
-// -shards partitions every document into N hash shards whose selections fan
-// out concurrently and merge deterministically; -index-paths builds a
-// per-shard path-feature index of length L at registration; -cache enables
+// -shards partitions every document into N hash shards: in process every
+// shard runs its own filter and one selection pass covers the document
+// (with -selector, each shard is one job on the wire); -index-paths builds
+// a per-shard path-feature index of length L at registration; -cache enables
 // an N-entry LRU result cache keyed on (program, store version), so
 // repeated queries are served without re-evaluation until a document
 // changes. -flush-interval paces the periodic flushes of streamed v2
@@ -106,7 +107,7 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "request body cap in bytes; larger bodies get 413")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
 	slow := flag.Duration("slow", 0, "slow-query log threshold (0 disables; e.g. 100ms)")
-	shards := flag.Int("shards", 1, "hash partitions per document; >1 fans selection across shards")
+	shards := flag.Int("shards", 1, "hash partitions per document (each shard filters on its own path index; with -selector each is one wire job)")
 	cache := flag.Int("cache", 0, "result cache capacity in entries (0 disables caching)")
 	planCache := flag.Int("plan-cache", 0, "search-plan cache capacity in entries (0 disables plan caching)")
 	indexLen := flag.Int("index-paths", 0, "per-shard path-feature index max length (0 disables; 3 is a good default for many small graphs)")

@@ -1,7 +1,8 @@
 // Command gqlshard serves one process of the distributed read path: a
 // shard server holding a full mirror of the document set, partitioned
 // locally with the same deterministic hash as the frontend, answering
-// per-shard selection jobs over the store wire protocol.
+// per-shard selection jobs over the store wire protocol. A job carries only
+// exhaustive and limit: the mirror's store picks each member's access method.
 //
 // Usage:
 //

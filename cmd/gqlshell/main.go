@@ -20,10 +20,11 @@
 // -slow and -metrics flags configure the engine fan-out, the slow-query
 // log threshold and an unconditional metrics dump.
 //
-// Storage: -shards partitions every document into N hash shards whose
-// selections fan out concurrently and merge deterministically (output is
-// byte-identical to the unsharded scan); -index-paths builds a per-shard
-// path-feature index of the given maximum length at load; -cache enables
+// Storage: -shards partitions every document into N hash shards, each
+// filtered by its own path index before one selection pass over the
+// document (output is byte-identical to the unsharded scan); -index-paths
+// builds a per-shard path-feature index of the given maximum length at
+// load; -cache enables
 // an N-entry LRU result cache keyed on (canonical program, store
 // version) — mostly useful when piping several identical programs
 // through one shell invocation.
@@ -66,7 +67,7 @@ func main() {
 	workers := flag.Int("workers", 0, "for-clause fan-out (0/1 serial, negative GOMAXPROCS)")
 	slow := flag.Duration("slow", 0, "slow-query log threshold (0 disables; e.g. 100ms)")
 	metrics := flag.Bool("metrics", false, "dump process metrics (Prometheus text format) after the run")
-	shards := flag.Int("shards", 1, "hash partitions per document; >1 fans selection across shards")
+	shards := flag.Int("shards", 1, "hash partitions per document (each shard filters on its own path index)")
 	cache := flag.Int("cache", 0, "result cache capacity in entries (0 disables; single-shot runs rarely benefit)")
 	planCache := flag.Int("plan-cache", 0, "search-plan cache capacity in entries (0 disables; pays off when one program repeats a pattern)")
 	indexLen := flag.Int("index-paths", 0, "per-shard path-feature index max length (0 disables)")

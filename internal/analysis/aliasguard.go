@@ -29,10 +29,10 @@ var aliasReturns = map[string]bool{
 	// Pattern.Halves hands out the motif adjacency Compile built once per
 	// pattern; every worker matching that pattern reads the same slices.
 	"internal/pattern.Pattern.Halves": true,
-	// Shard.MemberIndex hands out the §4 index the store built for a large
+	// Doc.MemberIndex hands out the §4 index the store built for a large
 	// member; every pool worker matching that member reads the same label
 	// index, interner and profiles.
-	"internal/store.Shard.MemberIndex": true,
+	"internal/store.Doc.MemberIndex": true,
 }
 
 // AliasGuard flags mutations of values obtained from the registered

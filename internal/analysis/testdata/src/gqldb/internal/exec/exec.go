@@ -75,15 +75,15 @@ func readSnapshot(s *store.DocStore, name string) int {
 
 // scribbleMemberIndex writes through a large member's shared index, which
 // every selection worker reads: flagged.
-func scribbleMemberIndex(sh *store.Shard) {
-	ix := sh.MemberIndex(0)
+func scribbleMemberIndex(d *store.Doc) {
+	ix := d.MemberIndex(0)
 	ix.Profiles[0] = nil // want:aliasguard `element write`
 	ix.Profiles = nil    // want:aliasguard `field write`
 }
 
 // readMemberIndex only reads the shared index: allowed.
-func readMemberIndex(sh *store.Shard) int {
-	return len(sh.MemberIndex(0).Profiles)
+func readMemberIndex(d *store.Doc) int {
+	return len(d.MemberIndex(0).Profiles)
 }
 
 // usedAll keeps the corpus cases referenced so the package typechecks

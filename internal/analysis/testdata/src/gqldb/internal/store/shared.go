@@ -9,6 +9,7 @@ package store
 type Doc struct {
 	Name string
 	coll []int
+	mix  []*MemberIndex
 }
 
 // Collection returns the canonical collection by reference.
@@ -22,13 +23,8 @@ type MemberIndex struct {
 	Profiles [][]int32
 }
 
-// Shard mimics one hash partition with per-member indexes.
-type Shard struct {
-	mix []*MemberIndex
-}
-
-// MemberIndex returns the shared index of member li.
-func (sh *Shard) MemberIndex(li int) *MemberIndex { return sh.mix[li] }
+// MemberIndex returns the shared index of the member at ordinal ord.
+func (d *Doc) MemberIndex(ord int) *MemberIndex { return d.mix[ord] }
 
 // Snapshot mimics the immutable store view.
 type Snapshot struct {

@@ -36,11 +36,15 @@ type Engine struct {
 	// it (it receives a pre-parsed program; the canonical source text is the
 	// cache's identity).
 	Cache *store.Cache
-	// Selector overrides how the coordinator evaluates one shard of a
-	// sharded document (the multi-process seam); nil means in-process
-	// matching (store.LocalSelector).
+	// Selector, when set, makes the coordinator fan every selection across
+	// the document's shards through it and merge the answers (the
+	// multi-process seam: store.RemoteSelector). Nil evaluates in process:
+	// each shard's filter, then one selection pass over the document.
 	Selector store.ShardSelector
 	// Opts configures selection; Exhaustive is overridden per FLWR clause.
+	// The store picks each member's access method itself and honours only
+	// Exhaustive, Limit, CollectStats and Plans from here. The field goes
+	// with the bench contract (ROADMAP), which still reads it.
 	Opts match.Options
 	// Plans, when set, caches search plans across queries: selection wires
 	// it into match.Options with the snapshot version as the validity
@@ -126,11 +130,11 @@ type Result struct {
 }
 
 // NewOver returns an engine reading through the given document store (wrap
-// a plain document map with store.FromMap) whose selections are exhaustive
-// with the caller-level options left at their zero value. Those apply to
-// members without an index; the store serves its indexed members (those of
-// at least a measured size) with the paper's §4 access methods instead, and
-// the rows are the same either way (match.FindContext fixes their order).
+// a plain document map with store.FromMap) whose selections are exhaustive.
+// The store chooses how each member is matched: the §5.1 baseline below a
+// measured size, the paper's §4 access methods on its indexed members at or
+// above it; the rows are the same either way (match.FindContext fixes
+// their order).
 func NewOver(docs *store.DocStore) *Engine {
 	return &Engine{Docs: docs, Opts: match.Options{Exhaustive: true}}
 }
@@ -485,9 +489,9 @@ func (env *environment) flwr(f *ast.FLWRStmt) error {
 
 // selectDoc evaluates one pattern's selection over a document, pushing each
 // member graph's match group to emit in canonical order. Every document goes
-// through the store coordinator, which picks the access path from the
-// document's shape and the configured selector (see Coordinator.SelectStream);
-// the engine holds no selection code of its own.
+// through the store coordinator, which runs one in-process pass or fans out
+// through the configured selector (see Coordinator.SelectStream); the
+// engine holds no selection code of its own.
 func (env *environment) selectDoc(ctx context.Context, d *store.Doc, p *pattern.Pattern, opts match.Options, workers int, emit func(algebra.Matched) error) error {
 	co := &store.Coordinator{Selector: env.engine.Selector}
 	return co.SelectStream(ctx, d, p, opts, workers, env.stats, emit)

@@ -196,9 +196,10 @@ func TestTraceIndexFilterCounters(t *testing.T) {
 }
 
 // TestTraceShardedSelectionCounters: on a sharded, indexed document every
-// shard runs its index filter and the selection kernel under the
-// sharded-selection span, so the trace carries the per-shard counters that
-// EXPLAIN's "selection search space" and "plan cache" tables are built from.
+// shard runs its index filter and the survivors of all four go through one
+// selection kernel pass (no sharded-selection span in process), so the
+// trace carries the counters that EXPLAIN's "selection search space" and
+// "plan cache" tables are built from.
 // A second query with a graph-attribute condition checks the graph gate's
 // counter: every candidate the filters pass is a plan-cache hit, a miss or
 // a gate rejection.
@@ -219,13 +220,14 @@ func TestTraceShardedSelectionCounters(t *testing.T) {
 	if len(res.Out) == 0 {
 		t.Fatal("degenerate test: no result rows")
 	}
-	var sharded, filters int
+	var sharded, selections, filters int
 	sel, ix := map[string]int64{}, map[string]int64{}
 	res.Trace.Walk(func(_ int, sp *obs.Span) {
 		switch sp.Name {
 		case "sharded-selection":
 			sharded++
 		case "selection":
+			selections++
 			for k, v := range sp.Counts() {
 				sel[k] += v
 			}
@@ -236,11 +238,11 @@ func TestTraceShardedSelectionCounters(t *testing.T) {
 			}
 		}
 	})
-	if sharded != 1 || filters != 4 {
-		t.Fatalf("trace has %d sharded-selection and %d index-filter spans, want 1 and 4", sharded, filters)
+	if sharded != 0 || selections != 1 || filters != 4 {
+		t.Fatalf("trace has %d sharded-selection, %d selection and %d index-filter spans, want 0, 1 and 4", sharded, selections, filters)
 	}
 	if sel["cand_baseline"] == 0 {
-		t.Error("per-shard selection spans carry no cand_baseline: EXPLAIN's search-space table would be empty")
+		t.Error("the selection span carries no cand_baseline: EXPLAIN's search-space table would be empty")
 	}
 	if sel["matches"] != int64(len(res.Out)) {
 		t.Errorf("selection spans count %d matches, result has %d rows", sel["matches"], len(res.Out))

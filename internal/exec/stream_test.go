@@ -12,6 +12,7 @@ import (
 	"gqldb/internal/ast"
 	"gqldb/internal/graph"
 	"gqldb/internal/match"
+	"gqldb/internal/obs"
 	"gqldb/internal/store"
 )
 
@@ -196,6 +197,38 @@ func TestStreamSinkStop(t *testing.T) {
 	}
 	if res.Vars != nil {
 		t.Fatal("stopped stream carried vars")
+	}
+}
+
+// TestShardedStreamStopsEarly: a sink that stops after the first row ends
+// the selection within one kernel round on a sharded document too. Members
+// matched are counted from the selection spans' plan-cache hits, misses
+// and gate rejections, which cover every candidate the kernel verified; at
+// one worker a round is 64 members, so at most two rounds may run. A
+// per-shard fan-out would match at least one whole shard (about a quarter
+// of the members) before the merge could emit anything.
+func TestShardedStreamStopsEarly(t *testing.T) {
+	const n, round = 1200, 64
+	e := shardedEngine(authors(n), 4)
+	e.Workers = 1
+	e.Trace = true
+	e.Plans = match.NewPlanCache(16)
+	res, err := e.StreamQuery(context.Background(), streamAuthorsSrc, &errorSink{pass: 1, err: ErrStopStream}, StreamOptions{Take: AllRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows != 1 || !res.Truncated {
+		t.Fatalf("rows=%d truncated=%v, want 1 true", res.Rows, res.Truncated)
+	}
+	var matched int64
+	res.Trace.Walk(func(_ int, sp *obs.Span) {
+		if sp.Name == "selection" {
+			c := sp.Counts()
+			matched += c["plan_cache_hits"] + c["plan_cache_misses"] + c["graph_gate_rejected"]
+		}
+	})
+	if matched == 0 || matched > 2*round {
+		t.Fatalf("the kernel matched %d of %d members before the stop, want 1..%d", matched, n, 2*round)
 	}
 }
 

@@ -64,9 +64,6 @@ type Options struct {
 	RefineLevel int
 	// Order selects the search-order planner.
 	Order OrderMode
-	// Gamma is the constant reduction factor of the cost model when
-	// frequency statistics are not used; 0 defaults to 0.5.
-	Gamma float64
 	// FreqGamma estimates reduction factors from label/edge frequencies
 	// (the "more elaborate" estimator of §4.4).
 	FreqGamma bool
@@ -265,9 +262,6 @@ func FindContext(ctx context.Context, p *pattern.Pattern, g *graph.Graph, ix *In
 	}
 	if ok, err := p.GraphHolds(g.Attrs); !ok || err != nil {
 		return nil, &Stats{GraphGateRejected: true}, nil
-	}
-	if opt.Gamma == 0 {
-		opt.Gamma = 0.5
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -11,10 +11,11 @@ import (
 // is a left-deep join plan over the pattern nodes; the cost model estimates
 // each join's cost as the product of the input cardinalities (Definition
 // 4.12) and its result size as that product scaled by a reduction factor γ
-// (Definition 4.11). γ is either a constant (Options.Gamma) or, with
+// (Definition 4.11). γ is either the constant gamma or, with
 // Options.FreqGamma, the product of edge probabilities
 // P(e(u,v)) = freq(e(u,v)) / (freq(u)·freq(v)) estimated from the label
 // statistics of the data graph.
+const gamma = 0.5
 
 // edgeGamma returns the reduction factor contributed by the pattern edge
 // between nodes a and b.
@@ -37,7 +38,7 @@ func (s *searcher) edgeGamma(a, b graph.NodeID) float64 {
 			}
 		}
 	}
-	return s.opt.Gamma
+	return gamma
 }
 
 // joinGamma multiplies the reduction factors of every pattern edge between

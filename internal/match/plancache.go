@@ -49,14 +49,13 @@ type Plan struct {
 
 // PlanOpts is the subset of Options that changes planning output: the
 // pruning and refinement configuration determines the feasible-mate lists,
-// the order mode and γ configuration determine the search order, and the
-// presence of access structures determines the retrieval path.
+// the order mode and the γ estimator (FreqGamma) determine the search order,
+// and the presence of access structures determines the retrieval path.
 type PlanOpts struct {
 	Prune       LocalPrune
 	Refine      bool
 	RefineLevel int
 	Order       OrderMode
-	Gamma       float64
 	FreqGamma   bool
 	// Labels and Nbr record which access structures the evaluation had
 	// (label index, neighborhood structures): retrieval differs with and
@@ -85,7 +84,6 @@ func planKeyFor(p *pattern.Pattern, g *graph.Graph, ix *Index, opt Options) Plan
 			Refine:      opt.Refine,
 			RefineLevel: opt.RefineLevel,
 			Order:       opt.Order,
-			Gamma:       opt.Gamma,
 			FreqGamma:   opt.FreqGamma,
 			Labels:      ix != nil && ix.Labels != nil,
 			Nbr:         ix != nil && ix.Nbr != nil,

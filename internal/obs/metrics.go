@@ -173,9 +173,9 @@ var (
 	WALReplayed = newCounter("gqldb_wal_replayed_total", "mutation batches replayed from the WAL at recovery")
 	// WALCheckpoints counts snapshot checkpoints that truncated the WAL.
 	WALCheckpoints = newCounter("gqldb_wal_checkpoints_total", "snapshot checkpoints truncating the WAL")
-	// ShardedSelections counts selection operators fanned across document
-	// shards by the coordinator.
-	ShardedSelections = newCounter("gqldb_sharded_selections_total", "selections fanned across document shards")
+	// ShardedSelections counts selection operators the coordinator fanned
+	// across document shards through a shard selector (the shard wire).
+	ShardedSelections = newCounter("gqldb_sharded_selections_total", "selections fanned across document shards through a shard selector")
 	// CacheHits counts result-cache lookups served from a cached entry.
 	CacheHits = newCounter("gqldb_cache_hits_total", "query result cache hits")
 	// CacheMisses counts result-cache lookups that fell through to

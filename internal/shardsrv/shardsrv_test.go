@@ -183,7 +183,7 @@ func TestSelectErrorFrames(t *testing.T) {
 		versionHash bool
 	}{
 		{"malformed body", []byte("{not json"), store.WireCodeBadRequest, false},
-		{"prune mode out of range", with(func(r *store.WireRequest) { r.Options.Prune = uint8(match.PruneSubgraph) + 1 }), store.WireCodeBadRequest, false},
+		{"negative limit", with(func(r *store.WireRequest) { r.Options.Limit = -1 }), store.WireCodeBadRequest, false},
 		{"unknown document", with(func(r *store.WireRequest) { r.Doc = "nope" }), store.WireCodeUnknownDoc, false},
 		{"hash mismatch", with(func(r *store.WireRequest) { r.Hash = "0000000000000000" }), store.WireCodeStale, true},
 		{"shard width mismatch", with(func(r *store.WireRequest) { r.Shards, r.Shard = 3, 0 }), store.WireCodeTopology, true},
@@ -366,13 +366,11 @@ func TestSyncedLargeMemberSelect(t *testing.T) {
 		t.Fatal("mirror content differs from the frontend's")
 	}
 	indexed := 0
-	for _, sh := range mirror.Shards() {
-		for li, g := range sh.Coll {
-			if sh.MemberIndex(li) != nil {
-				indexed++
-				if g.NumNodes() < 1024 {
-					t.Fatalf("mirror indexed small member %s", g.Name)
-				}
+	for ord, g := range mirror.Collection() {
+		if mirror.MemberIndex(ord) != nil {
+			indexed++
+			if g.NumNodes() < 1024 {
+				t.Fatalf("mirror indexed small member %s", g.Name)
 			}
 		}
 	}

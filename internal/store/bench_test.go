@@ -14,11 +14,11 @@ import (
 	"gqldb/internal/store"
 )
 
-// BenchmarkShardedSelection compares the coordinator fan-out against the
-// serial unsharded scan it must stay byte-identical to; the sharded/workers=N
-// variants should beat serial on multi-core machines (the merge is
-// O(matches), so the fan-out dominates). End to end, bench/'s
-// store.shard_overhead_ratio tracks the same comparison.
+// BenchmarkShardedSelection compares the coordinator on a sharded document
+// against the serial unsharded scan it must stay byte-identical to: the
+// in-process pass (no selector) and the fan-out/frontier merge through an
+// explicit LocalSelector, the shape a remote selector runs. End to end,
+// bench/'s store.shard_overhead_ratio tracks the in-process pass.
 func BenchmarkShardedSelection(b *testing.B) {
 	coll := randomCollection(400, 9)
 	p := abPattern(b)
@@ -43,15 +43,21 @@ func BenchmarkShardedSelection(b *testing.B) {
 			b.Fatal("doc not registered")
 		}
 		workers := runtime.GOMAXPROCS(0)
-		b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-			co := &store.Coordinator{}
-			for i := 0; i < b.N; i++ {
-				st := &match.Stats{}
-				if _, err := co.Select(ctx, d, p, opt, nil, workers, st); err != nil {
-					b.Fatal(err)
-				}
+		for _, sel := range []store.ShardSelector{nil, store.LocalSelector{}} {
+			path := "pass"
+			if sel != nil {
+				path = "fanout"
 			}
-		})
+			b.Run(fmt.Sprintf("shards=%d/workers=%d/%s", shards, workers, path), func(b *testing.B) {
+				co := &store.Coordinator{Selector: sel}
+				for i := 0; i < b.N; i++ {
+					st := &match.Stats{}
+					if _, err := co.Select(ctx, d, p, opt, nil, workers, st); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

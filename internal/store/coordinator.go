@@ -14,9 +14,7 @@ import (
 )
 
 // ShardRequest is one shard's slice of a selection: the shard to scan plus
-// the matching options. It is a plain value struct so a future RPC shard
-// client can serialize it as-is (the pattern travels by source text in that
-// world; in-process it is the compiled pattern pointer).
+// the matching options, as RemoteSelector puts them on the shard wire.
 type ShardRequest struct {
 	Shard *Shard
 	P     *pattern.Pattern
@@ -24,9 +22,10 @@ type ShardRequest struct {
 	// Workers bounds the shard-local fan-out (resolved, >= 1).
 	Workers int
 	// Doc is the owning document and Index the shard's ordinal in
-	// Doc.Shards(). The Coordinator fills both; LocalSelector ignores them,
-	// the remote selector needs them for the wire request (document name,
-	// partition width, version handshake) and endpoint routing.
+	// Doc.Shards(). The Coordinator fills both; LocalSelector reads the
+	// members' §4 indexes from Doc, the remote selector needs both for the
+	// wire request (document name, partition width, version handshake) and
+	// endpoint routing.
 	Doc   *Doc
 	Index int
 }
@@ -68,9 +67,8 @@ type RemoteInfo struct {
 }
 
 // ShardSelector evaluates selection over a single shard. This interface is
-// the multi-process seam: LocalSelector runs in-process; a future RPC
-// client implements the same contract against a remote shard server, and
-// the Coordinator's fan-out/merge does not change.
+// the multi-process seam: RemoteSelector sends the shard's job over the
+// shard wire, and a gqlshard mirror answers it with LocalSelector.
 type ShardSelector interface {
 	SelectShard(ctx context.Context, req ShardRequest) (ShardResult, error)
 }
@@ -99,9 +97,10 @@ func (sh *Shard) candidates(ctx context.Context, p *pattern.Pattern) ([]int32, e
 	return cands, nil
 }
 
-// LocalSelector is the in-process ShardSelector: the shard's index filter,
-// then the selection kernel over the survivors with the shard's per-member
-// access methods, collected into Groups.
+// LocalSelector is the in-process ShardSelector, the one a gqlshard mirror
+// answers with: the shard's index filter, then the selection kernel over
+// the survivors with the document's per-member access methods (req.Doc must
+// own req.Shard), collected into Groups.
 type LocalSelector struct{}
 
 // SelectShard implements ShardSelector.
@@ -113,31 +112,30 @@ func (LocalSelector) SelectShard(ctx context.Context, req ShardRequest) (ShardRe
 		return res, err
 	}
 	res.Candidates = len(cands)
-	err = algebra.SelectStream(ctx, req.P, sh.Coll, cands, req.Opt, sh.method(), req.Workers, func(li int, group algebra.Matched) error {
+	method := req.Doc.method()
+	err = algebra.SelectStream(ctx, req.P, sh.Coll, cands, req.Opt, func(li int, opt match.Options) (*match.Index, match.Options) {
+		return method(int(sh.Ords[li]), opt)
+	}, req.Workers, func(li int, group algebra.Matched) error {
 		res.Groups[li] = group
 		return nil
 	})
 	return res, err
 }
 
-// Coordinator fans a selection across a document's shards and merges the
-// per-shard answers back into canonical collection order. Selector defaults
-// to the in-process LocalSelector; swapping in an RPC implementation turns
-// this into the multi-process query router without touching the merge.
+// Coordinator evaluates a selection over a document. With no Selector it
+// is one in-process kernel pass over the document; a Selector (the
+// multi-process query router's RemoteSelector) makes it fan the selection
+// across the document's shards and merge the per-shard answers back into
+// canonical collection order.
 type Coordinator struct {
 	Selector ShardSelector
 }
 
-// Select evaluates σ_P over the document: every shard is handed to the
-// selector on the worker pool, and the per-shard match groups are merged
-// back in canonical ordinal order — so the concatenated output is
-// byte-identical to a serial scan of the unsharded collection (same graph
-// order, same binding order within each graph). Select is the collect form
-// of SelectStream.
-//
-// workers bounds the total fan-out: shards run concurrently (at most
-// workers at once) and each shard's local pool gets an equal share, so the
-// end-to-end goroutine count stays ~workers regardless of shard count.
+// Select evaluates σ_P over the document, the collect form of
+// SelectStream: the output is byte-identical to a serial scan of the
+// unsharded collection (same graph order, same binding order within each
+// graph). workers bounds the kernel's pool; a fan-out gives each shard's
+// pool an equal share, so the goroutine count stays ~workers.
 //
 // Members are matched with the store's own per-member indexes. The ixFor
 // argument is kept for source compatibility with older callers and must be
@@ -158,15 +156,16 @@ func (co *Coordinator) Select(ctx context.Context, d *Doc, p *pattern.Pattern, o
 }
 
 // SelectStream is Select with a push consumer, and the one entry point the
-// engine's for-clause calls. The access path is chosen from what the
-// coordinator can see, not from an option:
+// engine's for-clause calls. Every member is matched with the index and
+// options the store's rule (Doc.method) gives it. The path is chosen from
+// the Selector, not from an option:
 //
-//   - one shard and an in-process selector: there is nothing to merge (the
-//     shard's ordinals are the document's), so the shard's index filter and
-//     the selection kernel stream straight to emit and an early stop
-//     abandons the unmatched tail;
-//   - otherwise shards evaluate concurrently through the selector and the
-//     merge is a frontier walk — as each shard reports done, every canonical
+//   - no Selector: every shard's index filter runs, and the selection
+//     kernel makes one pass over the survivors' canonical ordinals at any
+//     shard count, streaming straight to emit; an early stop abandons the
+//     unmatched tail;
+//   - a Selector: shards evaluate concurrently through it and the merge is
+//     a frontier walk — as each shard reports done, every canonical
 //     ordinal whose owning shard has finished is emitted (non-empty groups
 //     only, ascending ordinal), so downstream consumers see the first rows
 //     while slower shards are still matching.
@@ -180,12 +179,9 @@ func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Patt
 	}
 	sel := co.Selector
 	if sel == nil {
-		sel = LocalSelector{}
+		return selectLocal(ctx, d, p, opt, workers, stats, emit)
 	}
 	shards := d.Shards()
-	if _, local := sel.(LocalSelector); local && len(shards) == 1 {
-		return selectOneShard(ctx, shards[0], p, opt, workers, stats, emit)
-	}
 	resolved := pool.Workers(workers, d.Len())
 	outer := resolved
 	if outer > len(shards) {
@@ -341,16 +337,17 @@ func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Patt
 	return nil
 }
 
-// selectOneShard is the unsharded in-process path of SelectStream: filter,
-// then the kernel, with the op-level records of a plain selection.
-func selectOneShard(ctx context.Context, sh *Shard, p *pattern.Pattern, opt match.Options, workers int, stats *match.Stats, emit func(algebra.Matched) error) error {
-	cands, err := sh.candidates(ctx, p)
+// selectLocal is the in-process path of SelectStream: every shard's index
+// filter, then one kernel pass over the survivors in canonical order, with
+// the op-level records of a plain selection.
+func selectLocal(ctx context.Context, d *Doc, p *pattern.Pattern, opt match.Options, workers int, stats *match.Stats, emit func(algebra.Matched) error) error {
+	cands, err := d.candidates(ctx, p)
 	if err != nil {
 		return err
 	}
 	matches := 0
 	start := time.Now()
-	err = algebra.SelectStream(ctx, p, sh.Coll, cands, opt, sh.method(), workers, func(_ int, group algebra.Matched) error {
+	err = algebra.SelectStream(ctx, p, d.coll, cands, opt, d.method(), workers, func(_ int, group algebra.Matched) error {
 		matches += len(group)
 		return emit(group)
 	})
@@ -362,4 +359,31 @@ func selectOneShard(ctx context.Context, sh *Shard, p *pattern.Pattern, opt matc
 	obs.SelectionSeconds.Observe(wall)
 	obs.Matches.Add(int64(matches))
 	return nil
+}
+
+// candidates is the document's access method ahead of the kernel: the
+// canonical ordinals some shard's filter passes, ascending (marking the
+// shards' disjoint sets merges them). Without path indexes (the store
+// builds them on every shard or none) every member passes.
+func (d *Doc) candidates(ctx context.Context, p *pattern.Pattern) ([]int32, error) {
+	if d.shards[0].Ix == nil {
+		return algebra.Ordinals(d.Len()), nil
+	}
+	pass := make([]bool, d.Len())
+	for _, sh := range d.shards {
+		cands, err := sh.candidates(ctx, p)
+		if err != nil {
+			return nil, err
+		}
+		for _, li := range cands {
+			pass[sh.Ords[li]] = true
+		}
+	}
+	var out []int32
+	for ord, ok := range pass {
+		if ok {
+			out = append(out, int32(ord))
+		}
+	}
+	return out, nil
 }

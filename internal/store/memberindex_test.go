@@ -87,14 +87,12 @@ func sameMatched(got, want algebra.Matched) string {
 	return ""
 }
 
-// memberIndex finds g's shard and returns its member index.
+// memberIndex finds g's canonical ordinal and returns its member index.
 func memberIndex(t *testing.T, d *store.Doc, g *graph.Graph) *match.Index {
 	t.Helper()
-	for _, sh := range d.Shards() {
-		for li, m := range sh.Coll {
-			if m == g {
-				return sh.MemberIndex(li)
-			}
+	for ord, m := range d.Collection() {
+		if m == g {
+			return d.MemberIndex(ord)
 		}
 	}
 	t.Fatalf("member %s not in any shard", g.Name)

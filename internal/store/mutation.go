@@ -414,8 +414,10 @@ func (s *DocStore) commitApply(st *stagedApply) uint64 {
 // base partition: node/edge deltas and appended graphs leave every
 // unchanged ordinal in its shard (shardOf depends only on graph name and
 // ordinal), so only the touched shards are rebuilt — with their path
-// indexes updated incrementally. Drops, registrations, fresh documents and
-// shard-count changes repartition from scratch.
+// indexes updated incrementally — and only the changed members' §4
+// indexes are rebuilt (or dropped, when a member shrank below
+// indexMinNodes); every other member keeps its own. Drops, registrations,
+// fresh documents and shard-count changes repartition from scratch.
 func (s *DocStore) buildStagedDoc(sd *stagedDoc) *Doc {
 	full := sd.base == nil || sd.repartition
 	var n int
@@ -435,10 +437,15 @@ func (s *DocStore) buildStagedDoc(sd *stagedDoc) *Doc {
 		return b.Build()
 	}
 	d := &Doc{Name: sd.name, coll: sd.coll}
+	if sd.base.mix != nil {
+		d.mix = make([]*match.Index, len(sd.coll))
+		copy(d.mix, sd.base.mix)
+	}
 	byShard := make(map[int][]int)
 	for ord := range sd.changed {
 		si := shardOf(sd.coll[ord], ord, n)
 		byShard[si] = append(byShard[si], ord)
+		d.indexMember(ord)
 	}
 	shards := make([]*Shard, n)
 	copy(shards, sd.base.shards)
@@ -464,9 +471,7 @@ func clampShards(shards, collLen int) int {
 // rebuildShard copies one shard with the changed canonical ordinals
 // replaced (same shard-local position) or appended (canonical ordinals
 // past the base keep Ords ascending because appends grow the collection
-// tail). The shard's path index is updated incrementally from the old one;
-// each changed member's §4 index is rebuilt (or dropped, when the member
-// shrank below indexMinNodes) and every other member keeps its own.
+// tail). The shard's path index is updated incrementally from the old one.
 func rebuildShard(old *Shard, coll graph.Collection, changedOrds []int, ixLen int) *Shard {
 	sort.Ints(changedOrds)
 	ns := &Shard{
@@ -494,13 +499,6 @@ func rebuildShard(old *Shard, coll graph.Collection, changedOrds []int, ixLen in
 		} else {
 			ns.Ix = gindex.Build(ns.Coll, ixLen)
 		}
-	}
-	if old.mix != nil {
-		ns.mix = make([]*match.Index, len(ns.Coll))
-		copy(ns.mix, old.mix)
-	}
-	for _, li := range changedLocal {
-		ns.indexMember(int(li))
 	}
 	return ns
 }

@@ -20,9 +20,11 @@
 //     documents at one version. In-flight queries keep their snapshot for
 //     the whole program, so a concurrent mutation never tears a result.
 //   - Sharding: each document's collection is hash-partitioned at
-//     registration. The Coordinator (coordinator.go) fans selection across
-//     shards and merges matches back into the exact order a serial scan of
-//     the unsharded collection would produce.
+//     registration. In process the Coordinator (coordinator.go) runs every
+//     shard's filter and then one selection pass over the document; with a
+//     ShardSelector (the shard wire) it fans selection across shards and
+//     merges matches back into the exact order a serial scan of the
+//     unsharded collection would produce.
 package store
 
 import (
@@ -178,13 +180,18 @@ func (sn *Snapshot) Docs() []string {
 }
 
 // Doc is one registered document: the collection in its canonical
-// (registration) order plus its hash partition. Immutable after Build.
+// (registration) order, its hash partition and the §4 index of every large
+// member. Immutable after Build.
 type Doc struct {
 	// Name is the binding name (the doc("...") argument).
 	Name string
 
 	coll   graph.Collection
 	shards []*Shard
+	// mix[ord] is the label index and radius-1 profiles of the member at
+	// canonical ordinal ord, built when it has at least indexMinNodes nodes;
+	// nil (the whole slice, when no member qualifies) otherwise.
+	mix []*match.Index
 
 	// version is the store version at which the document was committed
 	// (0 for documents built outside a store). Set by commitApply before
@@ -241,8 +248,8 @@ func (d *Doc) Sharded() bool { return len(d.shards) > 1 }
 
 // Shard is one hash partition of a document: the member graphs it owns,
 // their ordinals in the document's canonical order (ascending — the
-// partition preserves relative order), an optional path-feature index over
-// just this shard, and the §4 per-graph index of every large member.
+// partition preserves relative order) and an optional path-feature index
+// over just this shard.
 type Shard struct {
 	// Ords maps shard-local position to canonical-collection ordinal.
 	Ords []int32
@@ -250,10 +257,6 @@ type Shard struct {
 	Coll graph.Collection
 	// Ix is the shard-local path index (nil when indexing is disabled).
 	Ix *gindex.Index
-	// mix[li] is member li's label index and radius-1 profiles, built when
-	// it has at least indexMinNodes nodes; nil (the whole slice, when no
-	// member qualifies) otherwise.
-	mix []*match.Index
 }
 
 // indexMinNodes is the member size, in nodes, from which the store keeps a
@@ -263,38 +266,41 @@ type Shard struct {
 // this constant is read from.
 const indexMinNodes = 128
 
-// MemberIndex returns the §4 index of shard-local member li, or nil when
-// the member is below indexMinNodes. The index is shared read-only by every
-// selection worker; callers must not modify it.
-func (sh *Shard) MemberIndex(li int) *match.Index {
-	if sh.mix == nil {
+// MemberIndex returns the §4 index of the member at canonical ordinal
+// ord, or nil when the member is below indexMinNodes. The index is shared
+// read-only by every selection worker; callers must not modify it.
+func (d *Doc) MemberIndex(ord int) *match.Index {
+	if d.mix == nil {
 		return nil
 	}
-	return sh.mix[li]
+	return d.mix[ord]
 }
 
-// indexMember builds member li's index when it is large enough and drops it
-// otherwise. The shard must still be private to its builder.
-func (sh *Shard) indexMember(li int) {
-	g := sh.Coll[li]
+// indexMember builds the index of the member at ord when it is large
+// enough and drops it otherwise. The document must still be private to its
+// builder.
+func (d *Doc) indexMember(ord int) {
+	g := d.coll[ord]
 	if g.NumNodes() < indexMinNodes {
-		if sh.mix != nil {
-			sh.mix[li] = nil
+		if d.mix != nil {
+			d.mix[ord] = nil
 		}
 		return
 	}
-	if sh.mix == nil {
-		sh.mix = make([]*match.Index, len(sh.Coll))
+	if d.mix == nil {
+		d.mix = make([]*match.Index, len(d.coll))
 	}
-	sh.mix[li] = match.BuildIndex(g, 1, false)
+	d.mix[ord] = match.BuildIndex(g, 1, false)
 }
 
-// method is the per-member access-method rule the shard hands the
-// selection kernel (nil when no member is indexed, which keeps the
-// caller's options for every member). It chooses from what the kernel can
-// observe:
+// method is the store's one access-method rule: the selection kernel asks
+// it, per member (by canonical ordinal), for the index and options to match
+// with. It reads only what the query says — Exhaustive and Limit — plus
+// the process-local instrumentation (CollectStats, Plans, PlanEpoch); every
+// other field of the caller's options is ignored:
 //
-//   - an unindexed member: the caller's options, unchanged;
+//   - an unindexed member: §5.1's baseline, retrieval by node attributes
+//     and search in declaration order;
 //   - an indexed member, every row wanted (exhaustive, no Limit):
 //     match.Optimized — profile pruning, refinement and the greedy §4.4
 //     order;
@@ -304,18 +310,15 @@ func (sh *Shard) indexMember(li int) {
 //
 // Answer order does not depend on the choice: match.FindContext defines it
 // by the query.
-func (sh *Shard) method() algebra.Method {
-	if sh.mix == nil {
-		return nil
-	}
-	return func(li int, opt match.Options) (*match.Index, match.Options) {
-		ix := sh.mix[li]
-		if ix == nil {
-			return nil, opt
-		}
-		o := match.Optimized()
-		if !opt.Exhaustive || opt.Limit > 0 {
-			o.Order, o.FreqGamma = match.OrderInput, false
+func (d *Doc) method() algebra.Method {
+	return func(ord int, opt match.Options) (*match.Index, match.Options) {
+		ix := d.MemberIndex(ord)
+		o := match.Options{}
+		if ix != nil {
+			o = match.Optimized()
+			if !opt.Exhaustive || opt.Limit > 0 {
+				o.Order, o.FreqGamma = match.OrderInput, false
+			}
 		}
 		o.Exhaustive, o.Limit = opt.Exhaustive, opt.Limit
 		o.CollectStats, o.Plans, o.PlanEpoch = opt.CollectStats, opt.Plans, opt.PlanEpoch
@@ -362,13 +365,13 @@ func (b *DocBuilder) Build() *Doc {
 		sh.Ords = append(sh.Ords, int32(ord))
 		sh.Coll = append(sh.Coll, g)
 	}
-	for _, sh := range shards {
-		if b.ixLen > 0 {
+	if b.ixLen > 0 {
+		for _, sh := range shards {
 			sh.Ix = gindex.Build(sh.Coll, b.ixLen)
 		}
-		for li := range sh.Coll {
-			sh.indexMember(li)
-		}
+	}
+	for ord := range d.coll {
+		d.indexMember(ord)
 	}
 	d.shards = shards
 	return d

@@ -183,9 +183,10 @@ func referenceResult(t testing.TB, coll graph.Collection) string {
 	return s
 }
 
-// TestCoordinatorMatchesSerialSelection: the coordinator's fan-out/merge
-// over every shard count reproduces the reference selection exactly — same
-// graphs in the same order with the same bindings.
+// TestCoordinatorMatchesSerialSelection: the coordinator over every shard
+// count reproduces the reference selection exactly — same graphs in the
+// same order with the same bindings — both as one in-process pass (no
+// selector) and as a fan-out/merge through an explicit LocalSelector.
 func TestCoordinatorMatchesSerialSelection(t *testing.T) {
 	coll := randomCollection(80, 5)
 	p := abPattern(t)
@@ -199,31 +200,34 @@ func TestCoordinatorMatchesSerialSelection(t *testing.T) {
 			s := store.New(store.Options{Shards: shards, IndexMaxLen: indexLen})
 			s.RegisterDoc("db", coll)
 			d, _ := s.Snapshot().Doc("db")
-			for _, workers := range []int{1, 4, -1} {
-				co := &store.Coordinator{}
-				stats := &match.Stats{}
-				got, err := co.Select(context.Background(), d, p, opt, nil, workers, stats)
-				if err != nil {
-					t.Fatalf("shards=%d ix=%d workers=%d: %v", shards, indexLen, workers, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("shards=%d ix=%d workers=%d: %d matches, want %d", shards, indexLen, workers, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].G != want[i].G {
-						t.Fatalf("shards=%d ix=%d workers=%d: match %d bound to wrong graph", shards, indexLen, workers, i)
+			for _, sel := range []store.ShardSelector{nil, store.LocalSelector{}} {
+				for _, workers := range []int{1, 4, -1} {
+					co := &store.Coordinator{Selector: sel}
+					stats := &match.Stats{}
+					got, err := co.Select(context.Background(), d, p, opt, nil, workers, stats)
+					if err != nil {
+						t.Fatalf("shards=%d ix=%d sel=%T workers=%d: %v", shards, indexLen, sel, workers, err)
 					}
-					if got[i].InducedGraph().String() != want[i].InducedGraph().String() {
-						t.Fatalf("shards=%d ix=%d workers=%d: match %d binding differs", shards, indexLen, workers, i)
+					if len(got) != len(want) {
+						t.Fatalf("shards=%d ix=%d sel=%T workers=%d: %d matches, want %d", shards, indexLen, sel, workers, len(got), len(want))
 					}
-				}
-				// One local shard is a plain selection; more fan out.
-				wantOp := "sharded-selection"
-				if shards == 1 {
-					wantOp = "selection"
-				}
-				if len(stats.Ops) != 1 || stats.Ops[0].Op != wantOp {
-					t.Fatalf("shards=%d: expected one %s OpStat, got %v", shards, wantOp, stats.Ops)
+					for i := range want {
+						if got[i].G != want[i].G {
+							t.Fatalf("shards=%d ix=%d sel=%T workers=%d: match %d bound to wrong graph", shards, indexLen, sel, workers, i)
+						}
+						if got[i].InducedGraph().String() != want[i].InducedGraph().String() {
+							t.Fatalf("shards=%d ix=%d sel=%T workers=%d: match %d binding differs", shards, indexLen, sel, workers, i)
+						}
+					}
+					// Without a selector every shard count is one plain
+					// selection; a selector fans out.
+					wantOp := "selection"
+					if sel != nil {
+						wantOp = "sharded-selection"
+					}
+					if len(stats.Ops) != 1 || stats.Ops[0].Op != wantOp {
+						t.Fatalf("shards=%d sel=%T: expected one %s OpStat, got %v", shards, sel, wantOp, stats.Ops)
+					}
 				}
 			}
 		}

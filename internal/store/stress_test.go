@@ -134,8 +134,9 @@ func TestCacheConcurrentAccess(t *testing.T) {
 
 // TestShardFanoutWorkerEdges drives the coordinator at the worker-count
 // edge cases (workers=1 serial, workers far above the shard and graph
-// counts) concurrently from several goroutines sharing one snapshot; run
-// under -race.
+// counts) concurrently from several goroutines sharing one snapshot, both
+// as the in-process pass (no selector) and as the fan-out/frontier merge
+// (an explicit LocalSelector); run under -race.
 func TestShardFanoutWorkerEdges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; skipped in -short")
@@ -149,23 +150,33 @@ func TestShardFanoutWorkerEdges(t *testing.T) {
 	}
 	want := renderResult(oracle)
 
+	type edgeCase struct {
+		sel     store.ShardSelector
+		workers int
+	}
+	var cases []edgeCase
+	for _, sel := range []store.ShardSelector{nil, store.LocalSelector{}} {
+		for _, workers := range []int{1, 2, 16, 4 * len(coll), -1} {
+			cases = append(cases, edgeCase{sel, workers})
+		}
+	}
 	var wg sync.WaitGroup
-	workerGrid := []int{1, 2, 16, 4 * len(coll), -1}
-	errs := make([]error, len(workerGrid))
-	for i, workers := range workerGrid {
+	errs := make([]error, len(cases))
+	for i, c := range cases {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 5; r++ {
 				e := exec.NewOver(s)
-				e.Workers = workers
+				e.Selector = c.sel
+				e.Workers = c.workers
 				res, err := e.RunContext(context.Background(), mustParse(t, storeQuery))
 				if err != nil {
 					errs[i] = err
 					return
 				}
 				if renderResult(res) != want {
-					errs[i] = fmt.Errorf("workers=%d: output differs from serial oracle", workers)
+					errs[i] = fmt.Errorf("output differs from serial oracle")
 					return
 				}
 			}
@@ -174,7 +185,7 @@ func TestShardFanoutWorkerEdges(t *testing.T) {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workerGrid[i], err)
+			t.Fatalf("sel=%T workers=%d: %v", cases[i].sel, cases[i].workers, err)
 		}
 	}
 }

@@ -251,60 +251,26 @@ func (w WirePattern) Pattern() (*pattern.Pattern, error) {
 	return p, nil
 }
 
-// WireOptions is the serializable subset of match.Options. Plans and
-// PlanEpoch are process-local and do not travel (a shard server plans
-// every job afresh); CollectStats is irrelevant shard-side
-// (the per-shard stats the coordinator aggregates travel in the done
-// frame's candidate count).
+// WireOptions is what a selection's options say about the query: all
+// mappings or the first, and the row limit. The mirror's store picks every
+// member's access method itself (Doc.method), as the frontend's would, so
+// nothing else travels.
 type WireOptions struct {
-	Exhaustive  bool    `json:"exhaustive,omitempty"`
-	Limit       int     `json:"limit,omitempty"`
-	Prune       uint8   `json:"prune,omitempty"`
-	Refine      bool    `json:"refine,omitempty"`
-	RefineLevel int     `json:"refine_level,omitempty"`
-	Order       uint8   `json:"order,omitempty"`
-	Gamma       float64 `json:"gamma,omitempty"`
-	FreqGamma   bool    `json:"freq_gamma,omitempty"`
-	AdjIterate  bool    `json:"adj_iterate,omitempty"`
+	Exhaustive bool `json:"exhaustive,omitempty"`
+	Limit      int  `json:"limit,omitempty"`
 }
 
 // EncodeOptions lowers match options to the wire subset.
 func EncodeOptions(o match.Options) WireOptions {
-	return WireOptions{
-		Exhaustive:  o.Exhaustive,
-		Limit:       o.Limit,
-		Prune:       uint8(o.Prune),
-		Refine:      o.Refine,
-		RefineLevel: o.RefineLevel,
-		Order:       uint8(o.Order),
-		Gamma:       o.Gamma,
-		FreqGamma:   o.FreqGamma,
-		AdjIterate:  o.AdjIterate,
-	}
+	return WireOptions{Exhaustive: o.Exhaustive, Limit: o.Limit}
 }
 
-// Options rebuilds match options (Plans/PlanEpoch left zero).
+// Options rebuilds match options from the wire subset.
 func (w WireOptions) Options() (match.Options, error) {
-	if w.Prune > uint8(match.PruneSubgraph) {
-		return match.Options{}, wireErrf("unknown prune mode %d", w.Prune)
+	if w.Limit < 0 {
+		return match.Options{}, wireErrf("negative limit %d", w.Limit)
 	}
-	if w.Order > uint8(match.OrderDP) {
-		return match.Options{}, wireErrf("unknown order mode %d", w.Order)
-	}
-	if w.Limit < 0 || w.RefineLevel < 0 {
-		return match.Options{}, wireErrf("negative limit or refine level")
-	}
-	return match.Options{
-		Exhaustive:  w.Exhaustive,
-		Limit:       w.Limit,
-		Prune:       match.LocalPrune(w.Prune),
-		Refine:      w.Refine,
-		RefineLevel: w.RefineLevel,
-		Order:       match.OrderMode(w.Order),
-		Gamma:       w.Gamma,
-		FreqGamma:   w.FreqGamma,
-		AdjIterate:  w.AdjIterate,
-	}, nil
+	return match.Options{Exhaustive: w.Exhaustive, Limit: w.Limit}, nil
 }
 
 // WireRequest is one shard's selection job: POST /shard/select body.

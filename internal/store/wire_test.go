@@ -22,7 +22,7 @@ func wirePattern(t testing.TB) *store.WireRequest {
 	req := &store.WireRequest{
 		Doc: "db", Shard: 0, Shards: 1, Version: 1, Hash: "feed",
 		Pattern: store.EncodePattern(p),
-		Options: store.EncodeOptions(match.Optimized()),
+		Options: store.EncodeOptions(match.Options{Exhaustive: true, Limit: 3}),
 	}
 	return req
 }
@@ -59,9 +59,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := match.Optimized()
-	if opt.Prune != want.Prune || opt.Order != want.Order || opt.Refine != want.Refine ||
-		opt.Exhaustive != want.Exhaustive || opt.FreqGamma != want.FreqGamma {
+	if want := (match.Options{Exhaustive: true, Limit: 3}); opt != want {
 		t.Fatalf("options changed over the wire: %+v vs %+v", opt, want)
 	}
 }
