@@ -291,7 +291,8 @@ func renderTrace(w io.Writer, res *exec.StreamResult) {
 	}
 
 	// Remote shard fan-out, when a cluster selector served the query: one
-	// row per shard RPC (the coordinator's shard-rpc child spans), showing
+	// row per shard RPC in shard order (the coordinator's shard-rpc child
+	// spans, recorded after every shard has answered), showing
 	// which endpoint answered and whether retries, hedging, a resync or
 	// allow-partial degradation were involved.
 	sh := &stats.Table{

@@ -15,9 +15,8 @@ var ctxPollPkgs = []string{
 	"internal/match",
 	"internal/algebra",
 	"internal/pool",
-	// The store runs the shard coordinator's merge loop and the remote
-	// selector's retry loop: both iterate per-shard work that must die
-	// with the query's context.
+	// The store runs the remote selector's retry loop, which iterates
+	// per-shard work that must die with the query's context.
 	"internal/store",
 }
 

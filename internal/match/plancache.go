@@ -196,7 +196,9 @@ func (c *PlanCache) Put(epoch uint64, key PlanKey, plan *Plan) {
 		return
 	}
 	c.entries[key] = c.order.PushFront(&planEntry{key: key, epoch: epoch, plan: plan})
-	for i := c.order.Len(); i > c.capacity; i-- {
+	// One Put grows the LRU by one and SetCapacity shrinks it to capacity,
+	// so one eviction restores the bound.
+	if c.order.Len() > c.capacity {
 		c.evictOldest()
 		c.evictions++
 		obs.PlanCacheEvictions.Inc()

@@ -15,11 +15,13 @@ import (
 	"gqldb/internal/obs"
 )
 
-// chunk is the number of consecutive indices a worker claims per atomic
+// chunk caps the number of consecutive indices a worker claims per atomic
 // cursor advance. Per-item work in the algebra is often microseconds (one
 // small-graph match, one template instantiation), so claiming batches keeps
 // the cursor off the contention path while still load-balancing: a stuck
-// worker strands at most chunk-1 items.
+// worker strands at most chunk-1 items. A round of fewer than
+// chunk×workers items claims ceil(n/workers), so it still spreads over
+// every worker.
 const chunk = 16
 
 // Workers resolves a requested worker count against an item count: zero or
@@ -40,12 +42,13 @@ func Workers(workers, n int) int {
 // Run executes fn(i) for every i in [0, n) on up to workers goroutines
 // (Workers resolves the count) and blocks until all claimed work finished.
 //
-// Determinism contract: indices are claimed in ascending chunks, every
-// claimed chunk runs to its own first error, and the error returned is the
-// one with the smallest index among all recorded — exactly the error a
-// serial loop would return first. Cancellation is polled between chunk
-// claims (and per item in the serial workers<=1 path); when the context is
-// cancelled and no fn error was recorded, Run returns ctx.Err().
+// Determinism contract: indices are claimed in ascending chunks of
+// min(16, ceil(n/workers)), every claimed chunk runs to its own first error,
+// and the error returned is the one with the smallest index among all
+// recorded — exactly the error a serial loop would return first.
+// Cancellation is polled between chunk claims (and per item in the serial
+// workers<=1 path); when the context is cancelled and no fn error was
+// recorded, Run returns ctx.Err().
 //
 // fn must be safe for concurrent invocation with distinct indices and must
 // confine its writes to per-index state (result slots), never to shared
@@ -87,6 +90,10 @@ func Run(ctx context.Context, n, workers int, fn func(i int) error) error {
 		return nil
 	}
 
+	claim := (n + workers - 1) / workers
+	if claim > chunk {
+		claim = chunk
+	}
 	// firstErr is each worker's lowest-index error; slots are padded only by
 	// the natural struct size — false sharing is irrelevant next to fn cost.
 	type firstErr struct {
@@ -103,8 +110,8 @@ func Run(ctx context.Context, n, workers int, fn func(i int) error) error {
 		go func(w int) {
 			defer wg.Done()
 			perWorker[w].idx = -1
-			// Utilization is accumulated per chunk (one clock read per 16
-			// items) and flushed to the registry once per worker per Run.
+			// Utilization is accumulated per chunk (one clock read per
+			// claim) and flushed to the registry once per worker per Run.
 			var items, busy int64
 			defer func() {
 				obs.PoolWorkerItems.Add(w, items)
@@ -123,11 +130,11 @@ func Run(ctx context.Context, n, workers int, fn func(i int) error) error {
 					return
 				default:
 				}
-				start := int(cursor.Add(chunk)) - chunk
+				start := int(cursor.Add(int64(claim))) - claim
 				if start >= n {
 					return
 				}
-				end := start + chunk
+				end := start + claim
 				if end > n {
 					end = n
 				}

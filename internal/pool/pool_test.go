@@ -161,3 +161,26 @@ func TestRunWorkerUtilizationCounters(t *testing.T) {
 		t.Fatalf("parallel items delta sum = %d, want %d", total, n)
 	}
 }
+
+// TestRunSpreadsShortRounds: a round with no more items than workers runs
+// every item on its own goroutine — each fn waits until all four have
+// started, which a single worker claiming the whole round never reaches.
+func TestRunSpreadsShortRounds(t *testing.T) {
+	const n = 4
+	var started atomic.Int32
+	all := make(chan struct{})
+	err := Run(context.Background(), n, n, func(i int) error {
+		if started.Add(1) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+			return nil
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("item %d: only %d of %d items started", i, started.Load(), n)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

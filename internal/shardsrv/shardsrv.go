@@ -225,7 +225,9 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 
 // handleSync installs a document pushed by a frontend: the body is the
 // binary collection serialization, re-partitioned and re-indexed locally.
-// A body over MaxBody is a 413; an unreadable or malformed one a 400.
+// A body over MaxBody is a 413; an unreadable or malformed one, or one whose
+// content hash differs from the hash parameter, a 400 that installs nothing.
+// A push without a hash parameter is installed unchecked.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	obs.HTTPRequests.Inc()
 	name := r.URL.Query().Get("doc")
@@ -247,6 +249,12 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, "malformed collection: "+err.Error(), http.StatusBadRequest)
 		return
+	}
+	if want := r.URL.Query().Get("hash"); want != "" {
+		if got := store.CollectionHash(coll); got != want {
+			http.Error(w, fmt.Sprintf("collection hashes to %s, push says %s", got, want), http.StatusBadRequest)
+			return
+		}
 	}
 	v, err := s.store.RegisterDoc(name, coll)
 	if err != nil {

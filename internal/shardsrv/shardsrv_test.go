@@ -71,8 +71,9 @@ type failingReader struct{}
 func (failingReader) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
 
 // TestSyncBodyErrors drives /shard/sync directly: only a body over MaxBody
-// is a 413; an unreadable or malformed body is a 400 and installs nothing;
-// a well-formed push installs the document.
+// is a 413; an unreadable or malformed body, or one that does not hash to
+// the pushed hash, is a 400 and installs nothing; a well-formed push with
+// its content hash installs the document.
 func TestSyncBodyErrors(t *testing.T) {
 	g := graph.New("G")
 	g.AddNode("a", graph.TupleOf("", "label", "A"))
@@ -80,19 +81,23 @@ func TestSyncBodyErrors(t *testing.T) {
 	if err := graph.WriteBinary(&coll, graph.Collection{g}); err != nil {
 		t.Fatal(err)
 	}
+	hash := store.CollectionHash(graph.Collection{g})
 	srv := New(Config{Shards: 2, MaxBody: int64(coll.Len())})
 	for _, tc := range []struct {
 		name string
 		body io.Reader
+		hash string
 		want int
 	}{
-		{"oversize", bytes.NewReader(append(coll.Bytes(), 0)), 413},
-		{"unreadable", failingReader{}, 400},
-		{"malformed", strings.NewReader("GQLBnot a collection"), 400},
-		{"ok", bytes.NewReader(coll.Bytes()), 200},
+		{"oversize", bytes.NewReader(append(coll.Bytes(), 0)), hash, 413},
+		{"unreadable", failingReader{}, hash, 400},
+		{"malformed", strings.NewReader("GQLBnot a collection"), hash, 400},
+		{"mismatch", bytes.NewReader(coll.Bytes()), "0000000000000000", 400},
+		{"ok", bytes.NewReader(coll.Bytes()), hash, 200},
 	} {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/shard/sync?doc="+tc.name, tc.body))
+		u := "/shard/sync?doc=" + tc.name + "&hash=" + tc.hash
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", u, tc.body))
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, strings.TrimSpace(rec.Body.String()))
 		}
@@ -357,7 +362,7 @@ func TestSyncedLargeMemberSelect(t *testing.T) {
 	}
 	srv := New(Config{Shards: 2})
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/shard/sync?doc=db", &body))
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/shard/sync?doc=db&hash="+d.ContentHash(), &body))
 	if rec.Code != 200 {
 		t.Fatalf("sync: status %d (%s)", rec.Code, strings.TrimSpace(rec.Body.String()))
 	}

@@ -16,7 +16,7 @@ import (
 
 // BenchmarkShardedSelection compares the coordinator on a sharded document
 // against the serial unsharded scan it must stay byte-identical to: the
-// in-process pass (no selector) and the fan-out/frontier merge through an
+// in-process pass (no selector) and the fan-out and ordered merge through an
 // explicit LocalSelector, the shape a remote selector runs. End to end,
 // bench/'s store.shard_overhead_ratio tracks the in-process pass.
 func BenchmarkShardedSelection(b *testing.B) {

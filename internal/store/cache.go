@@ -147,7 +147,9 @@ func (c *Cache) Put(key CacheKey, val any) {
 		return
 	}
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
-	for c.order.Len() > c.capacity { //gqlvet:ignore ctxpoll -- evicts one entry per iteration; bounded by the capacity overshoot
+	// One Put grows the LRU by one and SetCapacity shrinks it to capacity,
+	// so one eviction restores the bound.
+	if c.order.Len() > c.capacity {
 		c.evictOldest()
 		c.evictions++
 		obs.CacheEvictions.Inc()

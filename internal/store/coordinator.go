@@ -68,7 +68,9 @@ type RemoteInfo struct {
 
 // ShardSelector evaluates selection over a single shard. This interface is
 // the multi-process seam: RemoteSelector sends the shard's job over the
-// shard wire, and a gqlshard mirror answers it with LocalSelector.
+// shard wire, and a gqlshard mirror answers it with LocalSelector. The
+// Coordinator calls it from its pool workers, one call per shard, and reads
+// every answer only after all of them have returned.
 type ShardSelector interface {
 	SelectShard(ctx context.Context, req ShardRequest) (ShardResult, error)
 }
@@ -125,8 +127,8 @@ func (LocalSelector) SelectShard(ctx context.Context, req ShardRequest) (ShardRe
 // Coordinator evaluates a selection over a document. With no Selector it
 // is one in-process kernel pass over the document; a Selector (the
 // multi-process query router's RemoteSelector) makes it fan the selection
-// across the document's shards and merge the per-shard answers back into
-// canonical collection order.
+// across the document's shards in one pool round and then emit the
+// per-shard answers in canonical collection order.
 type Coordinator struct {
 	Selector ShardSelector
 }
@@ -164,15 +166,15 @@ func (co *Coordinator) Select(ctx context.Context, d *Doc, p *pattern.Pattern, o
 //     kernel makes one pass over the survivors' canonical ordinals at any
 //     shard count, streaming straight to emit; an early stop abandons the
 //     unmatched tail;
-//   - a Selector: shards evaluate concurrently through it and the merge is
-//     a frontier walk — as each shard reports done, every canonical
-//     ordinal whose owning shard has finished is emitted (non-empty groups
-//     only, ascending ordinal), so downstream consumers see the first rows
-//     while slower shards are still matching.
+//   - a Selector: the shards evaluate as one pool round through it, each
+//     answer into its own slot; once every shard has answered, the groups
+//     are scattered to their canonical ordinals and the non-empty ones are
+//     emitted in ascending order — the kernel's own round-then-emit shape.
+//     Nothing is emitted before the last shard answers, so a failing shard
+//     fails the selection before any row.
 //
 // emit runs on the calling goroutine; an emit error (including the streaming
-// pipeline's early-stop sentinel) cancels the remaining work and is returned
-// as-is.
+// pipeline's early-stop sentinel) ends the stream and is returned as-is.
 func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Pattern, opt match.Options, workers int, stats *match.Stats, emit func(algebra.Matched) error) error {
 	if err := p.Compile(); err != nil {
 		return err
@@ -197,131 +199,40 @@ func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Patt
 		sp.Add("shards", int64(len(shards)))
 		sp.Add("workers", int64(resolved))
 	}
+	defer sp.End()
 	start := time.Now()
 
-	// Ordinal ownership: which shard (and local index) holds each canonical
-	// ordinal, so the frontier walk reads groups straight out of shard
-	// results without building a slot array.
-	ordShard := make([]int32, d.Len())
-	ordLocal := make([]int32, d.Len())
-	for si, sh := range shards {
-		for li, ord := range sh.Ords {
-			ordShard[ord] = int32(si)
-			ordLocal[ord] = int32(li)
-		}
-	}
-
-	fanCtx, cancel := context.WithCancel(sctx)
-	defer cancel()
-	// done carries shard indexes as they complete (buffered: workers never
-	// block on it); perr carries the pool's terminal error. The done send
-	// happens before pool.Run returns, so results[si] is safely published
-	// to the merging goroutine by the channel receive.
-	doneCh := make(chan int, len(shards))
-	perr := make(chan error, 1)
 	results := make([]ShardResult, len(shards))
-	go func() {
-		perr <- pool.Run(fanCtx, len(shards), outer, func(i int) error {
-			req := ShardRequest{Shard: shards[i], P: p, Opt: opt, Workers: inner, Doc: d, Index: i}
-			res, err := sel.SelectShard(fanCtx, req)
-			if err != nil {
-				return err
-			}
-			results[i] = res
-			doneCh <- i
-			return nil
-		})
-	}()
+	err := pool.Run(sctx, len(shards), outer, func(i int) error {
+		req := ShardRequest{Shard: shards[i], P: p, Opt: opt, Workers: inner, Doc: d, Index: i}
+		res, err := sel.SelectShard(sctx, req)
+		results[i] = res
+		return err
+	})
+	if err != nil {
+		return err
+	}
 
-	ready := make([]bool, len(shards))
-	frontier := 0
-	matches := 0
+	groups := make([]algebra.Matched, d.Len())
 	candidates := 0
-	// advance emits every ordinal whose owning shard has reported, in
-	// ascending canonical order — exactly the serial-scan sequence.
-	advance := func() error {
-		for frontier < d.Len() && ready[ordShard[frontier]] { //gqlvet:ignore ctxpoll -- frontier advances every iteration; bounded by the document's member count
-			group := results[ordShard[frontier]].Groups[ordLocal[frontier]]
-			frontier++
-			if len(group) == 0 {
-				continue
-			}
-			matches += len(group)
-			if err := emit(group); err != nil {
-				return err
-			}
+	for si, res := range results {
+		candidates += res.Candidates
+		if sp != nil && res.Remote != nil {
+			shardSpan(sp, si, res.Remote)
 		}
-		return nil
-	}
-	arrived := func(si int) error {
-		ready[si] = true
-		candidates += results[si].Candidates
-		// Remote answers get a per-shard child span. arrived runs on the
-		// coordinator goroutine (the merge loop), so the coordinator-only
-		// span mutators are safe here — workers must not touch sp.
-		if ri := results[si].Remote; ri != nil && sp != nil {
-			child := sp.StartChild("shard-rpc")
-			child.Add("shard", int64(si))
-			child.Add("attempts", int64(ri.Attempts))
-			child.Add("wall_us", ri.Wall.Microseconds())
-			if ri.Hedged {
-				child.Add("hedged", 1)
-			}
-			if ri.HedgeWon {
-				child.Add("hedge_won", 1)
-			}
-			if ri.Resynced {
-				child.Add("resynced", 1)
-			}
-			if ri.Degraded {
-				child.Add("degraded", 1)
-			}
-			child.SetAttr("endpoint", ri.Endpoint)
-			child.End()
-		}
-		return advance()
-	}
-
-	remaining := len(shards)
-	poolDone := false
-	var poolErr, emitErr error
-	for remaining > 0 && emitErr == nil && !poolDone { //gqlvet:ignore ctxpoll -- every iteration retires a shard or ends the pool; the blocking receives resolve because pool.Run itself polls the fan-out ctx
-		select {
-		case si := <-doneCh:
-			remaining--
-			emitErr = arrived(si)
-		case poolErr = <-perr:
-			poolDone = true
-			// Completion signals that raced the pool's return are buffered;
-			// drain them (a failed pool leaves some shards unsignaled — the
-			// default arm ends the drain).
-			for remaining > 0 && emitErr == nil { //gqlvet:ignore ctxpoll -- non-blocking drain; the default arm zeroes remaining on the first empty read
-				select {
-				case si := <-doneCh:
-					remaining--
-					emitErr = arrived(si)
-				default:
-					remaining = 0
-				}
-			}
+		for li, group := range res.Groups {
+			groups[shards[si].Ords[li]] = group
 		}
 	}
-	if emitErr != nil {
-		// The consumer stopped the stream (or failed): cancel the in-flight
-		// shards and wait for the pool to unwind before returning.
-		cancel()
-		if !poolDone {
-			<-perr
+	matches := 0
+	for _, group := range groups {
+		if len(group) == 0 {
+			continue
 		}
-		sp.End()
-		return emitErr
-	}
-	if !poolDone {
-		poolErr = <-perr
-	}
-	if poolErr != nil {
-		sp.End()
-		return poolErr
+		matches += len(group)
+		if err := emit(group); err != nil {
+			return err
+		}
 	}
 	wall := time.Since(start)
 	obs.ShardedSelections.Inc()
@@ -333,8 +244,30 @@ func (co *Coordinator) SelectStream(ctx context.Context, d *Doc, p *pattern.Patt
 		sp.Add("matches", int64(matches))
 	}
 	sp.SetAttr("pattern", p.Name)
-	sp.End()
 	return nil
+}
+
+// shardSpan records how a remote selector answered shard si as a shard-rpc
+// child of the sharded-selection span, so EXPLAIN can show the fan-out.
+func shardSpan(sp *obs.Span, si int, ri *RemoteInfo) {
+	child := sp.StartChild("shard-rpc")
+	child.Add("shard", int64(si))
+	child.Add("attempts", int64(ri.Attempts))
+	child.Add("wall_us", ri.Wall.Microseconds())
+	if ri.Hedged {
+		child.Add("hedged", 1)
+	}
+	if ri.HedgeWon {
+		child.Add("hedge_won", 1)
+	}
+	if ri.Resynced {
+		child.Add("resynced", 1)
+	}
+	if ri.Degraded {
+		child.Add("degraded", 1)
+	}
+	child.SetAttr("endpoint", ri.Endpoint)
+	child.End()
 }
 
 // selectLocal is the in-process path of SelectStream: every shard's index

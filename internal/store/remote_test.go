@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gqldb/internal/exec"
 	"gqldb/internal/graph"
 	"gqldb/internal/match"
+	"gqldb/internal/obs"
 	"gqldb/internal/shardsrv"
 	"gqldb/internal/store"
 )
@@ -46,9 +48,24 @@ func remoteEngine(shards int, endpoints []string, docs map[string]graph.Collecti
 	return eng, rs
 }
 
+// candidateCounter passes shard requests on and sums the Candidates of
+// every answer.
+type candidateCounter struct {
+	store.ShardSelector
+	n atomic.Int64
+}
+
+func (c *candidateCounter) SelectShard(ctx context.Context, req store.ShardRequest) (store.ShardResult, error) {
+	res, err := c.ShardSelector.SelectShard(ctx, req)
+	c.n.Add(int64(res.Candidates))
+	return res, err
+}
+
 // TestRemoteSelectorGrid is the oracle: across a shards × workers grid, a
 // frontend fanning selection to a 3-process cluster renders byte-identical
-// results to the engine-free reference.
+// results to the engine-free reference. Its trace carries one shard-rpc
+// child per shard in shard order, and cand_shards adds up the shards'
+// candidate counts.
 func TestRemoteSelectorGrid(t *testing.T) {
 	docs := map[string]graph.Collection{"db": randomCollection(60, 5)}
 	wantS := referenceResult(t, docs["db"])
@@ -56,8 +73,11 @@ func TestRemoteSelectorGrid(t *testing.T) {
 	for _, shards := range []int{1, 3, 7} {
 		endpoints := startCluster(t, 3, shards, docs)
 		for _, workers := range []int{0, 2, 8} {
-			eng, _ := remoteEngine(shards, endpoints, docs)
+			eng, rs := remoteEngine(shards, endpoints, docs)
+			counter := &candidateCounter{ShardSelector: rs}
+			eng.Selector = counter
 			eng.Workers = workers
+			eng.Trace = true
 			got, err := eng.RunQuery(t.Context(), storeQuery)
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
@@ -65,6 +85,34 @@ func TestRemoteSelectorGrid(t *testing.T) {
 			if gotS := renderResult(got); gotS != wantS {
 				t.Fatalf("shards=%d workers=%d: cluster diverged from the reference\n got: %q\nwant: %q",
 					shards, workers, gotS, wantS)
+			}
+			var selections int
+			var cands int64
+			got.Trace.Walk(func(_ int, sp *obs.Span) {
+				if sp.Name != "sharded-selection" {
+					return
+				}
+				selections++
+				cands += sp.Count("cand_shards")
+				var order []int64
+				for _, c := range sp.Children() {
+					if c.Name == "shard-rpc" {
+						order = append(order, c.Count("shard"))
+					}
+				}
+				want := make([]int64, shards)
+				for i := range want {
+					want[i] = int64(i)
+				}
+				if fmt.Sprint(order) != fmt.Sprint(want) {
+					t.Fatalf("shards=%d workers=%d: shard-rpc spans carry shards %v, want %v", shards, workers, order, want)
+				}
+			})
+			if selections == 0 {
+				t.Fatalf("shards=%d workers=%d: no sharded-selection span", shards, workers)
+			}
+			if cands != counter.n.Load() {
+				t.Fatalf("shards=%d workers=%d: cand_shards = %d, the shards answered %d candidates", shards, workers, cands, counter.n.Load())
 			}
 		}
 	}

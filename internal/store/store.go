@@ -22,9 +22,10 @@
 //   - Sharding: each document's collection is hash-partitioned at
 //     registration. In process the Coordinator (coordinator.go) runs every
 //     shard's filter and then one selection pass over the document; with a
-//     ShardSelector (the shard wire) it fans selection across shards and
-//     merges matches back into the exact order a serial scan of the
-//     unsharded collection would produce.
+//     ShardSelector (the shard wire) it fans selection across shards in
+//     one pool round and, once every shard has answered, emits the matches
+//     in the exact order a serial scan of the unsharded collection would
+//     produce.
 package store
 
 import (
@@ -218,23 +219,28 @@ func (d *Doc) Collection() graph.Collection { return d.coll }
 // handshake for observability; ContentHash is the identity.
 func (d *Doc) Version() uint64 { return d.version }
 
-// ContentHash returns a deterministic hash of the document's canonical
-// collection — FNV-64a over the binary serialization, computed lazily once
-// (the document is immutable after Build). Two processes that loaded the
-// same graphs in the same order agree on the hash regardless of their
-// local store versions, so it is the identity the multi-process version
-// handshake compares: a RegisterDoc on the frontend changes the content,
-// the hash diverges from the shard's mirror, and the shard is resynced.
+// ContentHash returns CollectionHash of the document's canonical
+// collection, computed lazily once (the document is immutable after
+// Build). Two processes that loaded the same graphs in the same order agree
+// on the hash regardless of their local store versions, so it is the
+// identity the multi-process version handshake compares: a RegisterDoc on
+// the frontend changes the content, the hash diverges from the shard's
+// mirror, and the shard is resynced.
 func (d *Doc) ContentHash() string {
-	d.hashOnce.Do(func() {
-		h := fnv.New64a()
-		// WriteBinary on a hash never fails; a marshal error (impossible for
-		// in-memory graphs) would surface as a handshake mismatch, which is
-		// the safe direction.
-		_ = graph.WriteBinary(h, d.coll)
-		d.hash = fmt.Sprintf("%016x", h.Sum64())
-	})
+	d.hashOnce.Do(func() { d.hash = CollectionHash(d.coll) })
 	return d.hash
+}
+
+// CollectionHash is the content hash of a collection: FNV-64a over its
+// binary serialization, as 16 hex digits. A shard mirror checks a pushed
+// collection against the hash the frontend sent with it.
+func CollectionHash(c graph.Collection) string {
+	h := fnv.New64a()
+	// WriteBinary on a hash never fails; a marshal error (impossible for
+	// in-memory graphs) would surface as a handshake mismatch, which is
+	// the safe direction.
+	_ = graph.WriteBinary(h, c)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Len returns the number of member graphs.

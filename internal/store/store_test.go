@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -230,6 +231,71 @@ func TestCoordinatorMatchesSerialSelection(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// failAfterSelector answers every shard through LocalSelector, except that
+// shard fail waits until shard owner has answered and then fails.
+type failAfterSelector struct {
+	owner, fail int
+	answered    chan struct{}
+}
+
+var errShardDown = errors.New("shard down")
+
+func (s failAfterSelector) SelectShard(ctx context.Context, req store.ShardRequest) (store.ShardResult, error) {
+	if req.Index == s.fail {
+		select {
+		case <-s.answered:
+			return store.ShardResult{}, errShardDown
+		case <-ctx.Done():
+			return store.ShardResult{}, ctx.Err()
+		}
+	}
+	res, err := store.LocalSelector{}.SelectShard(ctx, req)
+	if req.Index == s.owner {
+		close(s.answered)
+	}
+	return res, err
+}
+
+// TestFailingShardEmitsNothing: a selection through a selector emits no row
+// when a shard fails, even one that fails after the owner of the first
+// matching ordinal has answered.
+func TestFailingShardEmitsNothing(t *testing.T) {
+	var coll graph.Collection
+	for i := 0; i < 8; i++ {
+		g := graph.New(fmt.Sprintf("g%d", i))
+		g.AddEdge("", g.AddNode("", graph.TupleOf("", "label", "A")), g.AddNode("", graph.TupleOf("", "label", "B")), nil)
+		coll = append(coll, g)
+	}
+	s := store.New(store.Options{Shards: 4})
+	s.RegisterDoc("db", coll)
+	d, _ := s.Snapshot().Doc("db")
+	owner := -1
+	for si, sh := range d.Shards() {
+		if len(sh.Ords) > 0 && sh.Ords[0] == 0 {
+			owner = si
+		}
+	}
+	last := len(d.Shards()) - 1
+	if owner < 0 || owner == last {
+		t.Fatalf("degenerate fixture: ordinal 0 is owned by shard %d of %d", owner, last+1)
+	}
+	p := abPattern(t)
+	for _, workers := range []int{1, 4} {
+		co := &store.Coordinator{Selector: failAfterSelector{owner: owner, fail: last, answered: make(chan struct{})}}
+		emitted := 0
+		err := co.SelectStream(t.Context(), d, p, match.Options{Exhaustive: true}, workers, nil, func(ms algebra.Matched) error {
+			emitted += len(ms)
+			return nil
+		})
+		if !errors.Is(err, errShardDown) {
+			t.Fatalf("workers=%d: err = %v, want the failing shard's error", workers, err)
+		}
+		if emitted != 0 {
+			t.Fatalf("workers=%d: %d rows emitted before the shard failure surfaced", workers, emitted)
 		}
 	}
 }

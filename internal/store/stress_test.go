@@ -135,7 +135,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 // TestShardFanoutWorkerEdges drives the coordinator at the worker-count
 // edge cases (workers=1 serial, workers far above the shard and graph
 // counts) concurrently from several goroutines sharing one snapshot, both
-// as the in-process pass (no selector) and as the fan-out/frontier merge
+// as the in-process pass (no selector) and as the fan-out and ordered merge
 // (an explicit LocalSelector); run under -race.
 func TestShardFanoutWorkerEdges(t *testing.T) {
 	if testing.Short() {
