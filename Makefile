@@ -72,8 +72,9 @@ gqlvet:
 	$(GO) run ./cmd/gqlvet -tests ./...
 
 ## fuzz-smoke: brief fuzz of the parsers, the binary/TSV graph readers,
-## the expression evaluator, the HTTP query frontend, the shard wire and
-## the WAL record decoder (panics and 500s are failures); run longer
+## the expression evaluator, the HTTP query frontend, the shard wire, the
+## WAL record decoder (panics and 500s are failures) and the cross-engine
+## agreement of internal/difftest (a disagreement is a failure); run longer
 ## locally when touching internal/lexer, internal/parser, internal/sqlbase,
 ## internal/expr, internal/server, the internal/graph load paths or the
 ## store's wire and WAL codecs
@@ -89,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run 'FuzzServerQueryV2$$' -fuzz 'FuzzServerQueryV2$$' -fuzztime 10s
 	$(GO) test ./internal/store -run FuzzShardWire -fuzz FuzzShardWire -fuzztime 10s
 	$(GO) test ./internal/store -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime 10s
+	$(GO) test ./internal/difftest -run FuzzEnginesAgree -fuzz FuzzEnginesAgree -fuzztime 5s
 
 ## check: everything CI runs
 check: build vet gqlvet test test-server test-cluster test-walcrash race fuzz-smoke

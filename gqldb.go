@@ -21,8 +21,8 @@
 // The subsystem packages under internal/ carry the implementation:
 // internal/match (Algorithms 4.1 and 4.2), internal/index (neighborhood
 // subgraphs, profiles, label index), internal/sqlbase (the SQL-based
-// comparator), internal/datalog and internal/ra (the §3.5 expressiveness
-// bridges), internal/figures (the §5 evaluation harness).
+// comparator), internal/datalog (the §3.5 translation; internal/difftest
+// holds the engines to one answer set), internal/figures (the §5 harness).
 package gqldb
 
 import (
@@ -276,7 +276,7 @@ func MatchOneContext(ctx context.Context, p *Pattern, g *Graph, ix *Index, opt O
 }
 
 // SelectOptions configures SelectGraphs; the zero value is a serial,
-// unindexed, unintrumented selection with default matching options.
+// unindexed, uninstrumented selection with default matching options.
 type SelectOptions struct {
 	// Match configures the §4 access methods (pruning, refinement, search
 	// order, exhaustiveness).

@@ -1,73 +1,19 @@
 package gqldb
 
-// Cross-engine integration tests: the native access methods (§4), the
-// SQL-based comparator (§1.2/§5) and the Datalog translation (§3.5) are
-// three independent implementations of graph pattern matching; on any
-// workload they must agree exactly.
+// Integration tests through the facade: the indexed and parallel
+// collection pipelines and a miniature of the §5 workload. The cross-engine
+// agreement of the native matcher, the SQL comparator and the Datalog
+// translation is checked in internal/difftest.
 
 import (
 	"context"
 	"math/rand"
 	"testing"
 
-	"gqldb/internal/datalog"
 	"gqldb/internal/gen"
 	"gqldb/internal/gindex"
-	"gqldb/internal/match"
 	"gqldb/internal/pattern"
-	"gqldb/internal/sqlbase"
 )
-
-// TestThreeEnginesAgree runs label patterns through all three engines on a
-// moderate generated graph and compares exhaustive match counts.
-func TestThreeEnginesAgree(t *testing.T) {
-	g := gen.PrefAttach(300, 900, 12, 99)
-	ix := BuildIndex(g, 1, true)
-	db := sqlbase.NewDB()
-	if err := db.LoadGraph(g); err != nil {
-		t.Fatal(err)
-	}
-	ddb := datalog.NewDB()
-	datalog.GraphToFacts(ddb, g)
-
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 12; trial++ {
-		var p *pattern.Pattern
-		if trial%2 == 0 {
-			p = gen.GraphCliqueQuery(g, 2+rng.Intn(2), rng)
-		} else {
-			p = gen.SubgraphQuery(g, 3, rng)
-		}
-		if p == nil {
-			continue
-		}
-
-		native, _, err := Match(p, g, ix, Optimized())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := db.MatchPattern(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rule, err := datalog.PatternToRule(p, "Hit")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := datalog.Eval(ddb, []datalog.Rule{rule}); err != nil {
-			t.Fatal(err)
-		}
-		dlCount := ddb.Count("Hit")
-
-		if len(native) != len(rows) || len(native) != dlCount {
-			t.Fatalf("trial %d: engines disagree: native=%d sql=%d datalog=%d\npattern: %s",
-				trial, len(native), len(rows), dlCount, p)
-		}
-		// Reset derived facts for the next pattern by using a fresh DB.
-		ddb = datalog.NewDB()
-		datalog.GraphToFacts(ddb, g)
-	}
-}
 
 // TestCollectionPipelineAgrees: over a collection of small graphs, the
 // indexed filter-then-verify path, plain selection and parallel selection
@@ -175,5 +121,3 @@ func TestEndToEndWorkload(t *testing.T) {
 		t.Fatalf("only %d queries checked", checked)
 	}
 }
-
-var _ = match.Options{} // keep the import for documentation symmetry

@@ -27,7 +27,6 @@ var hotPathPkgs = []string{
 	"internal/expr",
 	"internal/graph",
 	"internal/sqlbase",
-	"internal/ra",
 }
 
 // panicAllowlist names functions permitted to panic. It is empty: the

@@ -6,7 +6,6 @@ package datalog
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -428,12 +427,4 @@ func Query(db *DB, body []Atom, builtins []Builtin, vars []string) ([][]graph.Va
 		return nil
 	})
 	return out, err
-}
-
-// SortRows orders result rows lexicographically by String rendering; a test
-// helper that makes comparisons deterministic.
-func SortRows(rows [][]graph.Value) {
-	sort.Slice(rows, func(i, j int) bool {
-		return factKey("", rows[i]) < factKey("", rows[j])
-	})
 }
