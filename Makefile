@@ -73,7 +73,8 @@ gqlvet:
 
 ## fuzz-smoke: brief fuzz of the parsers, the binary/TSV graph readers,
 ## the expression evaluator, the HTTP query frontend, the shard wire, the
-## WAL record decoder (panics and 500s are failures) and the cross-engine
+## WAL record decoder and the log-file reader shared by the WAL and the
+## checkpoint (panics and 500s are failures) and the cross-engine
 ## agreement of internal/difftest (a disagreement is a failure); run longer
 ## locally when touching internal/lexer, internal/parser, internal/sqlbase,
 ## internal/expr, internal/server, the internal/graph load paths or the
@@ -90,6 +91,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run 'FuzzServerQueryV2$$' -fuzz 'FuzzServerQueryV2$$' -fuzztime 10s
 	$(GO) test ./internal/store -run FuzzShardWire -fuzz FuzzShardWire -fuzztime 10s
 	$(GO) test ./internal/store -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime 10s
+	$(GO) test ./internal/store -run FuzzLogFile -fuzz FuzzLogFile -fuzztime 10s
 	$(GO) test ./internal/difftest -run FuzzEnginesAgree -fuzz FuzzEnginesAgree -fuzztime 5s
 
 ## check: everything CI runs

@@ -211,8 +211,9 @@ func (d *GraphDecl) ToGraph() (*graph.Graph, error) {
 	return g, nil
 }
 
-// ToPattern lowers a simple declaration into a compiled pattern.
-func (d *GraphDecl) ToPattern() (*pattern.Pattern, error) {
+// ToPattern lowers a simple declaration into a compiled pattern, with any
+// extra where clauses conjoined to the declaration's own.
+func (d *GraphDecl) ToPattern(extraWhere ...expr.Expr) (*pattern.Pattern, error) {
 	if !d.IsSimple() {
 		return nil, fmt.Errorf("ast: pattern %s: recursive/disjunctive patterns must be lowered via ToMotifDef and derived", d.Name)
 	}
@@ -242,6 +243,9 @@ func (d *GraphDecl) ToPattern() (*pattern.Pattern, error) {
 		}
 	}
 	p.Where(d.Where)
+	for _, e := range extraWhere {
+		p.Where(e)
+	}
 	if err := p.Compile(); err != nil {
 		return nil, err
 	}

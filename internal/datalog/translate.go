@@ -93,13 +93,28 @@ func PatternToRule(p *pattern.Pattern, headPred string) (Rule, error) {
 			r.Builtins = append(r.Builtins, Builtin{Op: Ne, L: nodeVar[i], R: nodeVar[j]})
 		}
 	}
-	// Interleave: each node atom is followed by its attribute constraints,
-	// and every edge is emitted as soon as both endpoints are bound, so
-	// the left-to-right join never materializes an unconstrained node
-	// cross product.
+	// Interleave: each node is bound through its first edge to an earlier
+	// node when it has one, then checked by its node atom and attribute
+	// constraints, and every other edge is emitted as soon as both
+	// endpoints are bound, so the left-to-right join walks edges instead of
+	// scanning every data node per partial binding.
 	emittedEdge := make([]bool, m.NumEdges())
+	emitEdge := func(e graph.Edge) error {
+		emittedEdge[e.ID] = true
+		ev := V("E_" + e.Name)
+		r.Body = append(r.Body, Atom{Pred: "edge", Args: []Term{gv, ev, nodeVar[e.From], nodeVar[e.To]}})
+		return addAttrPred(&r, "eattr", ev, p.EdgePred[e.ID], freshVar)
+	}
 	for _, n := range m.Nodes() {
 		v := nodeVar[n.ID]
+		for _, e := range m.Edges() {
+			if max(e.From, e.To) == n.ID && min(e.From, e.To) < n.ID {
+				if err := emitEdge(e); err != nil {
+					return Rule{}, err
+				}
+				break
+			}
+		}
 		r.Body = append(r.Body, Atom{Pred: "node", Args: []Term{gv, v}})
 		if tag := p.NodeTag[n.ID]; tag != "" {
 			r.Body = append(r.Body, Atom{Pred: "tag", Args: []Term{v, CS(tag)}})
@@ -111,10 +126,7 @@ func PatternToRule(p *pattern.Pattern, headPred string) (Rule, error) {
 			if emittedEdge[e.ID] || e.From > n.ID || e.To > n.ID {
 				continue
 			}
-			emittedEdge[e.ID] = true
-			ev := V("E_" + e.Name)
-			r.Body = append(r.Body, Atom{Pred: "edge", Args: []Term{gv, ev, nodeVar[e.From], nodeVar[e.To]}})
-			if err := addAttrPred(&r, "eattr", ev, p.EdgePred[e.ID], freshVar); err != nil {
+			if err := emitEdge(e); err != nil {
 				return Rule{}, err
 			}
 		}

@@ -311,7 +311,7 @@ func (env *environment) declare(d *ast.GraphDecl) error {
 // recursive-pattern semantics of §3.2).
 func (env *environment) patterns(d *ast.GraphDecl, extraWhere expr.Expr) ([]*pattern.Pattern, error) {
 	if d.IsSimple() {
-		p, err := clonePattern(d, extraWhere)
+		p, err := d.ToPattern(extraWhere)
 		if err != nil {
 			return nil, err
 		}
@@ -352,57 +352,6 @@ func (env *environment) patterns(d *ast.GraphDecl, extraWhere expr.Expr) ([]*pat
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// clonePattern lowers a simple declaration plus an extra conjunct into a
-// fresh compiled pattern.
-func clonePattern(d *ast.GraphDecl, extraWhere expr.Expr) (*pattern.Pattern, error) {
-	p := pattern.New(d.Name)
-	for _, m := range d.Members {
-		switch x := m.(type) {
-		case *ast.NodeDecl:
-			t, err := constTuple(x.Tuple)
-			if err != nil {
-				return nil, err
-			}
-			p.AddNode(x.Name, t, x.Where)
-		case *ast.EdgeDecl:
-			if len(x.From) != 1 || len(x.To) != 1 {
-				return nil, fmt.Errorf("exec: pattern %s: edge endpoints must be local", d.Name)
-			}
-			from, ok1 := p.Motif.NodeByName(x.From[0])
-			to, ok2 := p.Motif.NodeByName(x.To[0])
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("exec: pattern %s: edge references undeclared node", d.Name)
-			}
-			t, err := constTuple(x.Tuple)
-			if err != nil {
-				return nil, err
-			}
-			p.AddEdge(x.Name, from, to, t, x.Where)
-		}
-	}
-	p.Where(d.Where)
-	p.Where(extraWhere)
-	if err := p.Compile(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func constTuple(td *ast.TupleDecl) (*graph.Tuple, error) {
-	if td == nil {
-		return nil, nil
-	}
-	t := graph.NewTuple(td.Tag)
-	for _, a := range td.Attrs {
-		lit, ok := a.E.(expr.Lit)
-		if !ok {
-			return nil, fmt.Errorf("exec: pattern attribute %s must be a literal", a.Name)
-		}
-		t.Set(a.Name, lit.Val)
-	}
-	return t, nil
 }
 
 // flwr evaluates one for/let-or-return clause.

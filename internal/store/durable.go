@@ -2,46 +2,46 @@
 // attaches the directory's write-ahead log, after which every ApplyBatch —
 // RegisterDoc included — is appended (and, under the Sync policy, fsynced)
 // before it commits in memory, so an acknowledged write survives a crash.
-// Recovery rebuilds the exact pre-crash state:
+// Recovery rebuilds the exact pre-crash state as replay(checkpoint) ∘
+// bootstrap ∘ replay(WAL):
 //
-//  1. the snapshot checkpoint (if any) seeds the document map and store
-//     version wholesale;
+//  1. the checkpoint (if any) is a compacted log in the WAL's own format:
+//     one record per document version, in ascending order, registering
+//     every document committed at that version. Each record replays
+//     through the commit path at its own version, so the store ends at the
+//     last record's version (every commit stamps at least one document,
+//     and no mutation removes one);
 //  2. Bootstrap registers the process's startup documents — it must be
 //     deterministic across restarts and skip names the checkpoint already
 //     restored, so the post-bootstrap version is reproducible;
-//  3. WAL records with Seq beyond the current version replay through
-//     ApplyBatch, each required to commit as exactly its recorded version
-//     — a gap or overlap means the bootstrap diverged and recovery refuses
-//     to guess.
+//  3. WAL records with Seq beyond the checkpoint replay the same way, each
+//     required to commit as exactly the next version — a gap or overlap
+//     means the bootstrap diverged and recovery refuses to guess.
 //
 // The log is attached only after step 3, so bootstrap and replay are
 // never logged again.
 //
-// Checkpointing writes the whole store (binary collections plus document
-// versions) to snapshot.tmp, fsyncs, renames over snapshot.bin and then
-// truncates the WAL, so a crash at any point leaves either the old
-// checkpoint + full log or the new checkpoint + empty log.
+// Checkpointing writes the compacted log to snapshot.tmp, fsyncs, renames
+// it over snapshot.bin and then truncates the WAL, so a crash at any point
+// leaves either the old checkpoint + full log or the new checkpoint +
+// empty log. The rename follows the fsync, so any bad frame in a
+// checkpoint is corruption, never a torn tail.
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
-	"gqldb/internal/graph"
 	"gqldb/internal/obs"
 )
 
 const (
-	snapshotMagic   = "GQLS"
-	snapshotVersion = 1
-	walFileName     = "wal.log"
-	snapFileName    = "snapshot.bin"
+	walFileName  = "wal.log"
+	snapFileName = "snapshot.bin"
 )
 
 // DurableOptions configures OpenDurable.
@@ -103,7 +103,7 @@ func OpenDurable(sopts Options, dopts DurableOptions) (*DocStore, error) {
 			wal.Close()
 			return nil, fmt.Errorf("store: durable: wal record %d does not follow store version %d (non-deterministic bootstrap?)", rec.Seq, v)
 		}
-		if _, err := s.ApplyBatch(context.Background(), rec.Muts); err != nil {
+		if err := s.replay(rec); err != nil {
 			wal.Close()
 			return nil, fmt.Errorf("store: durable: replaying wal record %d: %w", rec.Seq, err)
 		}
@@ -147,27 +147,22 @@ func (s *DocStore) Close() error {
 }
 
 func (s *DocStore) checkpointLocked() error {
-	snap := s.Snapshot()
 	tmp := filepath.Join(s.dir, snapFileName+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := writeCheckpoint(f, snap); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = writeCheckpoint(f, s.Snapshot())
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(s.dir, snapFileName))
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapFileName)); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -178,113 +173,66 @@ func (s *DocStore) checkpointLocked() error {
 	return nil
 }
 
-// writeCheckpoint serializes the snapshot: magic, format version, store
-// version, then each document (sorted by name for determinism) as name,
-// install version, and a length-prefixed GQLB collection.
+// writeCheckpoint writes snap as a compacted log: the log header, then
+// per document version, ascending, one record registering every document
+// committed at that version.
 func writeCheckpoint(w io.Writer, snap *Snapshot) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var tmp [binary.MaxVarintLen64]byte
-	uv := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		bw.Write(tmp[:n])
+	byVersion := make(map[uint64][]Mutation)
+	for _, name := range snap.Docs() {
+		d := snap.docs[name]
+		byVersion[d.version] = append(byVersion[d.version], Mutation{Op: OpRegisterDoc, Doc: name, Coll: d.coll})
 	}
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
+	versions := make([]uint64, 0, len(byVersion))
+	for v := range byVersion {
+		versions = append(versions, v)
 	}
-	bw.WriteByte(snapshotVersion)
-	uv(snap.Version())
-	names := snap.Docs()
-	uv(uint64(len(names)))
-	for _, name := range names {
-		doc, _ := snap.Doc(name)
-		uv(uint64(len(name)))
-		bw.WriteString(name)
-		uv(doc.Version())
-		var gb bytes.Buffer
-		if err := graph.WriteBinary(&gb, doc.Collection()); err != nil {
-			return err
-		}
-		uv(uint64(gb.Len()))
-		if _, err := bw.Write(gb.Bytes()); err != nil {
+	sort.Slice(versions, func(i, j int) bool { return versions[i] < versions[j] })
+	buf := append([]byte(nil), logHeader...)
+	for _, v := range versions {
+		var err error
+		if buf, err = appendFrame(buf, v, byVersion[v]); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-// loadCheckpoint seeds s from the snapshot file and returns the restored
-// store version; a missing file is a fresh start at version 0.
+// loadCheckpoint replays the checkpoint at path into the fresh store s and
+// returns the restored store version; a missing file is a fresh start at
+// version 0.
 func loadCheckpoint(s *DocStore, path string) (uint64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
 		return 0, fmt.Errorf("store: durable: %w", err)
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	hdr := make([]byte, len(snapshotMagic)+1)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return 0, fmt.Errorf("store: durable: checkpoint header: %w", err)
-	}
-	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
-		return 0, fmt.Errorf("store: durable: bad checkpoint magic %q", hdr[:len(snapshotMagic)])
-	}
-	if hdr[len(snapshotMagic)] != snapshotVersion {
-		return 0, fmt.Errorf("store: durable: unsupported checkpoint version %d", hdr[len(snapshotMagic)])
-	}
-	storeVersion, err := binary.ReadUvarint(br)
+	recs, _, err := readLog(data, path, false)
 	if err != nil {
-		return 0, fmt.Errorf("store: durable: checkpoint: %w", err)
+		return 0, err
 	}
-	count, err := binary.ReadUvarint(br)
+	for _, rec := range recs {
+		if rec.Seq <= s.Version() {
+			return 0, fmt.Errorf("store: durable: checkpoint record %d does not follow version %d", rec.Seq, s.Version())
+		}
+		if err := s.replay(rec); err != nil {
+			return 0, fmt.Errorf("store: durable: replaying checkpoint record %d: %w", rec.Seq, err)
+		}
+	}
+	return s.Version(), nil
+}
+
+// replay commits one logged batch at exactly its logged version. Recovery
+// only: before the store is shared and before the log is attached.
+func (s *DocStore) replay(rec WALRecord) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	st, err := s.stageApply(context.Background(), rec.Muts)
 	if err != nil {
-		return 0, fmt.Errorf("store: durable: checkpoint: %w", err)
+		return err
 	}
-	if count > 1<<20 {
-		return 0, fmt.Errorf("store: durable: implausible checkpoint document count %d", count)
-	}
-	docs := make(map[string]*Doc, count)
-	for i := uint64(0); i < count; i++ {
-		nameLen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("store: durable: checkpoint: %w", err)
-		}
-		if nameLen > 1<<20 {
-			return 0, fmt.Errorf("store: durable: implausible document name length %d", nameLen)
-		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
-			return 0, fmt.Errorf("store: durable: checkpoint: %w", err)
-		}
-		docVersion, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("store: durable: checkpoint: %w", err)
-		}
-		collLen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("store: durable: checkpoint: %w", err)
-		}
-		if collLen > 1<<32 {
-			return 0, fmt.Errorf("store: durable: implausible collection length %d", collLen)
-		}
-		gb := make([]byte, collLen)
-		if _, err := io.ReadFull(br, gb); err != nil {
-			return 0, fmt.Errorf("store: durable: checkpoint: %w", err)
-		}
-		coll, err := graph.ReadBinary(bytes.NewReader(gb))
-		if err != nil {
-			return 0, fmt.Errorf("store: durable: checkpoint document %q: %w", nameBuf, err)
-		}
-		b := NewDocBuilder(string(nameBuf), s.opts.Shards, s.opts.IndexMaxLen)
-		for _, g := range coll {
-			b.Add(g)
-		}
-		doc := b.Build()
-		doc.version = docVersion
-		docs[string(nameBuf)] = doc
-	}
-	s.seed(storeVersion, docs)
-	return storeVersion, nil
+	s.commitApply(st, rec.Seq)
+	return nil
 }

@@ -6,7 +6,7 @@
 // registration is the OpRegisterDoc mutation, and with a WAL attached
 // every batch is logged before it commits. Node/edge deltas are maintained
 // incrementally: the touched graph keeps its canonical ordinal (shardOf
-// depends only on name and ordinal), so only its shard is rebuilt and the
+// depends only on the ordinal), so only its shard is rebuilt and the
 // shard's path index is updated in place of a full Build. Graph drops
 // shift ordinals and, like whole-document registrations, force a full
 // repartition of the document — the documented slow path.
@@ -113,12 +113,13 @@ func (s *DocStore) ApplyBatch(ctx context.Context, muts []Mutation) (*ApplyResul
 	if err != nil {
 		return nil, err
 	}
+	st.result.Version = s.Version() + 1
 	if s.wal != nil {
-		if err := s.wal.Append(s.Version()+1, muts); err != nil {
+		if err := s.wal.Append(st.result.Version, muts); err != nil {
 			return nil, err
 		}
 	}
-	st.result.Version = s.commitApply(st)
+	s.commitApply(st, st.result.Version)
 	if s.wal != nil && s.checkpointEvery > 0 && s.wal.Records() >= s.checkpointEvery {
 		if err := s.checkpointLocked(); err != nil {
 			// The commit is already durable in the WAL; a failed checkpoint
@@ -384,11 +385,11 @@ func rebuildWithout(g *graph.Graph, dropNode graph.NodeID, dropEdge graph.EdgeID
 	return ng, removed
 }
 
-// commitApply publishes every staged document under one version bump —
-// the only place the store version moves (recovery's seed aside). It
-// copy-on-writes the document map, so published snapshots never change.
-// Caller holds wmu.
-func (s *DocStore) commitApply(st *stagedApply) uint64 {
+// commitApply publishes every staged document at version — the only place
+// the store version moves: ApplyBatch commits at the next version, and
+// recovery at the version a record was logged at. It copy-on-writes the
+// document map, so published snapshots never change. Caller holds wmu.
+func (s *DocStore) commitApply(st *stagedApply, version uint64) {
 	docs := make(map[string]*Doc, len(st.docs))
 	for name, sd := range st.docs {
 		docs[name] = s.buildStagedDoc(sd)
@@ -401,19 +402,18 @@ func (s *DocStore) commitApply(st *stagedApply) uint64 {
 	for k, v := range s.docs {
 		next[k] = v
 	}
-	s.version++
+	s.version = version
 	for name, d := range docs {
-		d.version = s.version
+		d.version = version
 		next[name] = d
 	}
 	s.docs = next
-	return s.version
 }
 
 // buildStagedDoc materializes a staged document. The fast path keeps the
 // base partition: node/edge deltas and appended graphs leave every
-// unchanged ordinal in its shard (shardOf depends only on graph name and
-// ordinal), so only the touched shards are rebuilt — with their path
+// unchanged ordinal in its shard (shardOf depends only on the ordinal),
+// so only the touched shards are rebuilt — with their path
 // indexes updated incrementally — and only the changed members' §4
 // indexes are rebuilt (or dropped, when a member shrank below
 // indexMinNodes); every other member keeps its own. Drops, registrations,
@@ -443,7 +443,7 @@ func (s *DocStore) buildStagedDoc(sd *stagedDoc) *Doc {
 	}
 	byShard := make(map[int][]int)
 	for ord := range sd.changed {
-		si := shardOf(sd.coll[ord], ord, n)
+		si := shardOf(ord, n)
 		byShard[si] = append(byShard[si], ord)
 		d.indexMember(ord)
 	}

@@ -2,7 +2,7 @@
 // engine. The paper's access methods (§4) assume a database of many small
 // graphs scanned and pruned per query; at production scale that scan is the
 // dominant cost, so the store partitions every registered collection into
-// hash-addressed shards (each with its own optional path-feature index, the
+// round-robin shards (each with its own optional path-feature index, the
 // GraphGrep-style filter of internal/gindex) and serves queries from
 // immutable snapshots:
 //
@@ -19,13 +19,13 @@
 //   - Snapshots: readers take a Snapshot — an immutable view of all
 //     documents at one version. In-flight queries keep their snapshot for
 //     the whole program, so a concurrent mutation never tears a result.
-//   - Sharding: each document's collection is hash-partitioned at
-//     registration. In process the Coordinator (coordinator.go) runs every
-//     shard's filter and then one selection pass over the document; with a
-//     ShardSelector (the shard wire) it fans selection across shards in
-//     one pool round and, once every shard has answered, emits the matches
-//     in the exact order a serial scan of the unsharded collection would
-//     produce.
+//   - Sharding: each document's collection is dealt round-robin into
+//     shards at registration. In process the Coordinator (coordinator.go)
+//     runs every shard's filter and then one selection pass over the
+//     document; with a ShardSelector (the shard wire) it fans selection
+//     across shards in one pool round and, once every shard has answered,
+//     emits the matches in the exact order a serial scan of the unsharded
+//     collection would produce.
 package store
 
 import (
@@ -43,7 +43,7 @@ import (
 
 // Options configures a DocStore.
 type Options struct {
-	// Shards is the number of hash partitions per registered document.
+	// Shards is the number of partitions per registered document.
 	// 0 or 1 keeps documents unsharded (a single shard holding the whole
 	// collection) — the exact behavior of the pre-store engine.
 	Shards int
@@ -136,16 +136,6 @@ func (s *DocStore) RegisterDoc(name string, c graph.Collection) (uint64, error) 
 	return res.Version, nil
 }
 
-// seed restores a checkpointed state without version bumps or cache
-// invalidation: the document map and store version are set wholesale.
-// Recovery-only (OpenDurable), before the store is shared with readers.
-func (s *DocStore) seed(version uint64, docs map[string]*Doc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.version = version
-	s.docs = docs
-}
-
 // Snapshot is one immutable view of the store: the documents present at a
 // single version. Queries hold a snapshot for their whole program, so every
 // for-clause of one program reads the same data even while RegisterDoc runs
@@ -181,7 +171,7 @@ func (sn *Snapshot) Docs() []string {
 }
 
 // Doc is one registered document: the collection in its canonical
-// (registration) order, its hash partition and the §4 index of every large
+// (registration) order, its partition and the §4 index of every large
 // member. Immutable after Build.
 type Doc struct {
 	// Name is the binding name (the doc("...") argument).
@@ -246,13 +236,13 @@ func CollectionHash(c graph.Collection) string {
 // Len returns the number of member graphs.
 func (d *Doc) Len() int { return len(d.coll) }
 
-// Shards returns the hash partition. Callers must treat it as read-only.
+// Shards returns the partition. Callers must treat it as read-only.
 func (d *Doc) Shards() []*Shard { return d.shards }
 
 // Sharded reports whether the document is split across more than one shard.
 func (d *Doc) Sharded() bool { return len(d.shards) > 1 }
 
-// Shard is one hash partition of a document: the member graphs it owns,
+// Shard is one partition of a document: the member graphs it owns,
 // their ordinals in the document's canonical order (ascending — the
 // partition preserves relative order) and an optional path-feature index
 // over just this shard.
@@ -366,8 +356,7 @@ func (b *DocBuilder) Build() *Doc {
 		shards[i] = &Shard{}
 	}
 	for ord, g := range b.coll {
-		si := shardOf(g, ord, n)
-		sh := shards[si]
+		sh := shards[shardOf(ord, n)]
 		sh.Ords = append(sh.Ords, int32(ord))
 		sh.Coll = append(sh.Coll, g)
 	}
@@ -383,17 +372,8 @@ func (b *DocBuilder) Build() *Doc {
 	return d
 }
 
-// shardOf hashes a member graph to a shard: FNV-1a over the graph name
-// mixed with the canonical ordinal, so collections of identically-named
-// graphs still spread evenly and the assignment is deterministic across
-// processes (a requirement for the future multi-process deployment, where
-// each process owns a shard subset).
-func shardOf(g *graph.Graph, ord, shards int) int {
-	if shards == 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(g.Name))
-	v := h.Sum32() ^ (uint32(ord) * 2654435761)
-	return int(v % uint32(shards))
-}
+// shardOf deals members to shards round-robin by canonical ordinal: every
+// shard holds within one member of len/shards, whatever the member names,
+// and the assignment is deterministic across processes (a shard mirror
+// partitions a pushed document exactly as its frontend does).
+func shardOf(ord, shards int) int { return ord % shards }

@@ -143,6 +143,25 @@ func TestShardPartition(t *testing.T) {
 			}
 		}
 	}
+
+	// Balance does not depend on member names: members named by their own
+	// ordinal (m0...m5) still fill all four shards, each within one member
+	// of len/shards.
+	var named graph.Collection
+	for i := 0; i < 6; i++ {
+		named = append(named, graph.New(fmt.Sprintf("m%d", i)))
+	}
+	s := store.New(store.Options{Shards: 4})
+	s.RegisterDoc("db", named)
+	d, _ := s.Snapshot().Doc("db")
+	if len(d.Shards()) != 4 {
+		t.Fatalf("m0...m5 at 4 shards: %d shards", len(d.Shards()))
+	}
+	for si, sh := range d.Shards() {
+		if n, even := len(sh.Ords), len(named)/4; n < even || n > even+1 {
+			t.Fatalf("m0...m5 at 4 shards: shard %d holds %d members, want %d or %d", si, n, even, even+1)
+		}
+	}
 }
 
 // referenceSelection is the oracle the byte-identity grids compare against:

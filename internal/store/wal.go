@@ -1,5 +1,7 @@
-// Append-only write-ahead log for mutation batches. Every committed
-// ApplyBatch batch is framed as one record:
+// Append-only write-ahead log for mutation batches, and the one log format
+// the store writes to disk: a checkpoint (durable.go) is the same file
+// format, holding the compacted log. Every committed ApplyBatch batch is
+// framed as one record:
 //
 //	header:  magic "GQLW", version byte
 //	record:  u32 LE payload length | payload | u32 LE CRC-32 (IEEE) of payload
@@ -10,12 +12,16 @@
 //	                       GQLB collection when present (one graph; the
 //	                       whole document for register doc)
 //
-// Records are self-checking: on open the log is scanned, and a torn or
-// corrupt tail (partial frame from a crash mid-write, CRC mismatch) is
-// truncated at the last good record — everything before it replays.
-// Appends are a single write syscall per batch; the Sync policy flag
-// decides whether each append is fsynced before the caller proceeds
-// (durable-before-acknowledge) or left to the OS.
+// Records are self-checking, and readLog alone decides what a bad frame
+// (short, over-long, CRC mismatch) means. In the log it is a torn tail —
+// a crash cut the last append short — only when no CRC-valid frame
+// follows it; OpenWAL then truncates it and everything before it replays.
+// A bad frame with a valid frame after it is mid-log corruption, and so is
+// any bad frame in a checkpoint (renamed into place only after an fsync):
+// both refuse rather than drop committed batches. Appends are a single
+// write syscall per batch; the Sync policy flag decides whether each
+// append is fsynced before the caller proceeds (durable-before-
+// acknowledge) or left to the OS.
 //
 // A WAL is single-writer and not goroutine-safe: a DocStore opened with
 // OpenDurable calls it from ApplyBatch and Checkpoint with the store's
@@ -38,11 +44,15 @@ import (
 const (
 	walMagic   = "GQLW"
 	walVersion = 1
-	// walMaxPayload caps one record's claimed payload size: the length
-	// prefix is untrusted on open, and a corrupt length must not allocate
-	// unbounded memory before the CRC can reject it.
+	// walMaxPayload caps one record's payload size: the length prefix is
+	// untrusted on open, and a corrupt length must not allocate unbounded
+	// memory before the CRC can reject it. Writers refuse larger batches,
+	// which the reader could not tell from corruption.
 	walMaxPayload = 1 << 28
 )
+
+// logHeader starts every log file, the WAL and the checkpoint alike.
+var logHeader = []byte{'G', 'Q', 'L', 'W', walVersion}
 
 // WALRecord is one decoded log record: a mutation batch and the store
 // version it committed as.
@@ -53,125 +63,157 @@ type WALRecord struct {
 
 // WAL is an append-only mutation log backed by one file.
 type WAL struct {
-	f       *os.File
-	path    string
-	sync    bool
+	f    *os.File
+	sync bool
+	// end is the offset past the last whole record.
+	end     int64
 	records int
 }
 
-// OpenWAL opens (or creates) the log at path, scans it, truncates any
-// torn or corrupt tail, and returns the log positioned for appending plus
-// every intact record in order. sync selects the fsync-per-append policy.
-func OpenWAL(path string, sync bool) (*WAL, []WALRecord, error) {
+// OpenWAL opens (or creates) the log at path, reads it, truncates a torn
+// tail, and returns the log positioned for appending plus every intact
+// record in order. A file that is not a log, or one corrupt before its
+// tail, is refused and left as it is. sync selects the fsync-per-append
+// policy.
+func OpenWAL(path string, sync bool) (_ *WAL, _ []WALRecord, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: wal: %w", err)
 	}
-	w := &WAL{f: f, path: path, sync: sync}
-	recs, good, err := w.scan()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	data, err := io.ReadAll(f)
 	if err != nil {
-		f.Close()
+		return nil, nil, fmt.Errorf("store: wal: %w", err)
+	}
+	if len(data) == 0 {
+		if _, err := f.Write(logHeader); err != nil {
+			return nil, nil, fmt.Errorf("store: wal: writing header: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			return nil, nil, fmt.Errorf("store: wal: %w", err)
+		}
+		data = logHeader
+	}
+	recs, good, err := readLog(data, path, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	// Drop the torn tail (if any) and position for appending.
 	if err := f.Truncate(good); err != nil {
-		f.Close()
 		return nil, nil, fmt.Errorf("store: wal: truncating torn tail: %w", err)
 	}
 	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
 		return nil, nil, fmt.Errorf("store: wal: %w", err)
 	}
-	w.records = len(recs)
-	return w, recs, nil
+	return &WAL{f: f, sync: sync, end: good, records: len(recs)}, recs, nil
 }
 
-// scan reads the whole log, returning the intact records and the offset
-// just past the last good one. A missing header on an empty file is
-// written; a wrong header is an error (the file is not ours to truncate).
-func (w *WAL) scan() ([]WALRecord, int64, error) {
-	info, err := w.f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: wal: %w", err)
+// readLog decodes a whole log file — the header, then every record — and
+// returns the records with the length of the prefix they fill. A bad frame
+// ends the records only when allowTorn is set and frameAfter finds no
+// valid frame after it (a torn tail); anything else that does not decode
+// is an error, so without allowTorn a file is accepted only whole.
+func readLog(data []byte, path string, allowTorn bool) ([]WALRecord, int64, error) {
+	if len(data) < len(logHeader) || string(data[:len(walMagic)]) != walMagic {
+		return nil, 0, fmt.Errorf("store: %s: bad magic %q", path, data[:min(len(data), len(walMagic))])
 	}
-	if info.Size() == 0 {
-		hdr := append([]byte(walMagic), walVersion)
-		if _, err := w.f.Write(hdr); err != nil {
-			return nil, 0, fmt.Errorf("store: wal: writing header: %w", err)
-		}
-		if err := w.f.Sync(); err != nil {
-			return nil, 0, fmt.Errorf("store: wal: %w", err)
-		}
-		return nil, int64(len(hdr)), nil
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("store: wal: %w", err)
-	}
-	r := bufio.NewReaderSize(w.f, 1<<16)
-	hdr := make([]byte, len(walMagic)+1)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, 0, fmt.Errorf("store: wal: reading header: %w", err)
-	}
-	if string(hdr[:len(walMagic)]) != walMagic {
-		return nil, 0, fmt.Errorf("store: wal: bad magic %q in %s", hdr[:len(walMagic)], w.path)
-	}
-	if hdr[len(walMagic)] != walVersion {
-		return nil, 0, fmt.Errorf("store: wal: unsupported version %d in %s", hdr[len(walMagic)], w.path)
+	if data[len(walMagic)] != walVersion {
+		return nil, 0, fmt.Errorf("store: %s: unsupported version %d", path, data[len(walMagic)])
 	}
 	var recs []WALRecord
-	good := int64(len(hdr))
-	for { //gqlvet:ignore ctxpoll -- bounded by the log file size; recovery runs before any context exists
-		var frame [4]byte
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			// EOF here is a clean end; a short read is a torn length prefix.
-			return recs, good, nil
-		}
-		n := binary.LittleEndian.Uint32(frame[:])
-		if n == 0 || n > walMaxPayload {
-			return recs, good, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return recs, good, nil
-		}
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			return recs, good, nil
-		}
-		if binary.LittleEndian.Uint32(frame[:]) != crc32.ChecksumIEEE(payload) {
-			return recs, good, nil
+	var payload []byte
+	for off := len(logHeader); off < len(data); off += 8 + len(payload) {
+		var ok bool
+		if payload, ok = frameAt(data, off); !ok {
+			if allowTorn && !frameAfter(data, off) {
+				return recs, int64(off), nil
+			}
+			return nil, 0, fmt.Errorf("store: %s: record %d at offset %d is corrupt", path, len(recs), off)
 		}
 		rec, err := decodeWALPayload(payload)
 		if err != nil {
-			// The CRC matched but the payload does not decode: this is not a
-			// torn write but a format bug or foreign data — refuse to run on
-			// it rather than silently dropping committed mutations.
-			return nil, 0, fmt.Errorf("store: wal: record %d: %w", len(recs), err)
+			return nil, 0, fmt.Errorf("store: %s: record %d: %w", path, len(recs), err)
 		}
 		recs = append(recs, rec)
-		good += int64(8 + n)
 	}
+	return recs, int64(len(data)), nil
+}
+
+// frameAt returns the payload of the frame at off and whether the frame is
+// whole and CRC-valid.
+func frameAt(data []byte, off int) ([]byte, bool) {
+	if len(data)-off < 8 {
+		return nil, false
+	}
+	n := binary.LittleEndian.Uint32(data[off:])
+	if n == 0 || n > walMaxPayload || uint64(n) > uint64(len(data)-off-8) {
+		return nil, false
+	}
+	payload := data[off+4 : off+4+int(n)]
+	return payload, binary.LittleEndian.Uint32(data[off+4+int(n):]) == crc32.ChecksumIEEE(payload)
+}
+
+// frameAfter reports whether a CRC-valid frame follows the bad frame at
+// off: where its own length says the next record starts, or, since a
+// damaged length hides that start, as a frame ending exactly at EOF. Both
+// take one pass; DESIGN.md ("The WAL") says why no other offset is tried.
+func frameAfter(data []byte, off int) bool {
+	if len(data)-off < 8 {
+		return false
+	}
+	next := uint64(off) + 8 + uint64(binary.LittleEndian.Uint32(data[off:]))
+	if _, ok := frameAt(data, int(min(next, uint64(len(data))))); ok {
+		return true
+	}
+	for p := off + 1; p+8 < len(data); p++ {
+		if uint64(binary.LittleEndian.Uint32(data[p:])) != uint64(len(data)-p-8) {
+			continue
+		}
+		if _, ok := frameAt(data, p); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// appendFrame encodes the batch that commits as version seq and appends its
+// record frame to dst. The WAL and the checkpoint writer share it.
+func appendFrame(dst []byte, seq uint64, muts []Mutation) ([]byte, error) {
+	payload, err := encodeWALPayload(seq, muts)
+	if err != nil {
+		return nil, fmt.Errorf("store: encoding batch %d: %w", seq, err)
+	}
+	if len(payload) > walMaxPayload {
+		return nil, fmt.Errorf("store: batch %d encodes to %d bytes, over the %d-byte record limit", seq, len(payload), walMaxPayload)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload)), nil
 }
 
 // Append frames one batch and writes it in a single syscall, fsyncing
 // when the log's Sync policy demands durability before acknowledgement.
-// Caller holds the store writer lock.
+// A failed append is cut off the file, so later records never follow a
+// partial one. Caller holds the store writer lock.
 func (w *WAL) Append(seq uint64, muts []Mutation) error {
-	payload, err := encodeWALPayload(seq, muts)
+	frame, err := appendFrame(nil, seq, muts)
 	if err != nil {
-		return fmt.Errorf("store: wal: encoding batch %d: %w", seq, err)
+		return err
 	}
-	frame := make([]byte, 0, len(payload)+8)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(frame); err != nil {
+	if _, err = w.f.Write(frame); err == nil && w.sync {
+		err = w.f.Sync()
+	}
+	if err != nil {
+		// Cut the partial frame back off. Should that fail too, the next
+		// open finds a bad frame before valid ones and refuses the log.
+		_ = w.f.Truncate(w.end)
+		_, _ = w.f.Seek(w.end, io.SeekStart)
 		return fmt.Errorf("store: wal: appending batch %d: %w", seq, err)
 	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("store: wal: fsync: %w", err)
-		}
-	}
+	w.end += int64(len(frame))
 	w.records++
 	obs.WALAppends.Inc()
 	return nil
@@ -184,7 +226,7 @@ func (w *WAL) Records() int { return w.records }
 // checkpoint has made the records redundant. Caller holds the store
 // writer lock.
 func (w *WAL) Reset() error {
-	hdrLen := int64(len(walMagic) + 1)
+	hdrLen := int64(len(logHeader))
 	if err := w.f.Truncate(hdrLen); err != nil {
 		return fmt.Errorf("store: wal: reset: %w", err)
 	}
@@ -194,7 +236,7 @@ func (w *WAL) Reset() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("store: wal: reset: %w", err)
 	}
-	w.records = 0
+	w.end, w.records = hdrLen, 0
 	return nil
 }
 
@@ -218,11 +260,9 @@ func encodeWALPayload(seq uint64, muts []Mutation) ([]byte, error) {
 	for i := range muts {
 		m := &muts[i]
 		bw.WriteByte(byte(m.Op))
-		str(m.Doc)
-		str(m.Graph)
-		str(m.Name)
-		str(m.From)
-		str(m.To)
+		for _, s := range [...]string{m.Doc, m.Graph, m.Name, m.From, m.To} {
+			str(s)
+		}
 		if err := graph.WriteTuple(bw, m.Attrs); err != nil {
 			return nil, err
 		}
@@ -285,20 +325,10 @@ func decodeWALPayload(payload []byte) (WALRecord, error) {
 			return rec, err
 		}
 		m.Op = MutationOp(op)
-		if m.Doc, err = str(); err != nil {
-			return rec, err
-		}
-		if m.Graph, err = str(); err != nil {
-			return rec, err
-		}
-		if m.Name, err = str(); err != nil {
-			return rec, err
-		}
-		if m.From, err = str(); err != nil {
-			return rec, err
-		}
-		if m.To, err = str(); err != nil {
-			return rec, err
+		for _, f := range [...]*string{&m.Doc, &m.Graph, &m.Name, &m.From, &m.To} {
+			if *f, err = str(); err != nil {
+				return rec, err
+			}
 		}
 		if m.Attrs, err = graph.ReadTuple(br); err != nil {
 			return rec, err

@@ -167,6 +167,88 @@ func TestWALRejectsForeignAndUndecodable(t *testing.T) {
 	if _, _, err := store.OpenWAL(bad, false); err == nil {
 		t.Fatal("undecodable CRC-valid record must fail open")
 	}
+
+	// A bad frame with CRC-valid frames after it is mid-log corruption,
+	// not a torn tail: open refuses and truncates nothing. A damaged length
+	// is caught by the last record ending at EOF, a damaged payload by the
+	// next record starting where the length says, even when the last
+	// record is torn as well.
+	mid := filepath.Join(dir, "mid.log")
+	w, _, err = store.OpenWAL(mid, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		w.Append(seq, walBatch()[:2])
+	}
+	w.Close()
+	intact, _ := os.ReadFile(mid)
+	for name, damage := range map[string]func(b []byte) []byte{
+		"length prefix": func(b []byte) []byte { b[5] ^= 0x01; return b },
+		"payload":       func(b []byte) []byte { b[5+4+3] ^= 0x01; return b },
+		"payload, torn last record": func(b []byte) []byte {
+			b[5+4+3] ^= 0x01
+			return b[:len(b)-3]
+		},
+	} {
+		flipped := damage(append([]byte(nil), intact...))
+		os.WriteFile(mid, flipped, 0o644)
+		if _, _, err := store.OpenWAL(mid, false); err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Fatalf("flip in record 1 of 3 (%s): err = %v, want a corruption refusal", name, err)
+		}
+		if after, _ := os.ReadFile(mid); len(after) != len(flipped) {
+			t.Fatalf("flip in record 1 of 3 (%s): file truncated from %d to %d bytes", name, len(flipped), len(after))
+		}
+	}
+}
+
+// TestCheckpointRejectsFlippedByte: the checkpoint is fsynced before it is
+// renamed into place, so no bad frame in it is a torn tail — every single
+// flipped byte, header to last CRC, makes OpenDurable refuse, and so does
+// a checkpoint in another format.
+func TestCheckpointRejectsFlippedByte(t *testing.T) {
+	dir := t.TempDir()
+	sopts := store.Options{Shards: 2}
+	dopts := store.DurableOptions{Dir: dir, Sync: true, CheckpointEvery: -1}
+	d, err := store.OpenDurable(sopts, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New("g")
+	g.AddNode("a", graph.TupleOf("", "label", "ALPHA"))
+	if _, err := d.RegisterDoc("db", graph.Collection{g, randomCollection(1, 5)[0]}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RegisterDoc("aux", randomCollection(2, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	snap := filepath.Join(dir, "snapshot.bin")
+	intact, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2, err := store.OpenDurable(sopts, dopts); err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
+	} else {
+		d2.Close()
+	}
+	for i := range intact {
+		flipped := append([]byte(nil), intact...)
+		flipped[i] ^= 0x04 // "ALPHA" reads "AHPHA" when the flip lands in the label
+		os.WriteFile(snap, flipped, 0o644)
+		if d2, err := store.OpenDurable(sopts, dopts); err == nil {
+			d2.Close()
+			t.Fatalf("checkpoint with byte %d of %d flipped loaded without error", i, len(intact))
+		}
+	}
+	os.WriteFile(snap, append([]byte("GQLS\x01"), intact[5:]...), 0o644)
+	if _, err := store.OpenDurable(sopts, dopts); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("checkpoint in the retired GQLS format: err = %v, want bad magic", err)
+	}
 }
 
 func durableOpts(dir string) (store.Options, store.DurableOptions) {

@@ -2,6 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"gqldb/internal/graph"
@@ -61,6 +65,91 @@ func FuzzWALRecord(f *testing.F) {
 		}
 		if !bytes.Equal(p1, p2) {
 			t.Fatalf("record changed over a round trip:\n%x\n%x", p1, p2)
+		}
+	})
+}
+
+// FuzzLogFile holds the shared log reader to its contract over whole file
+// bytes, the form both the WAL and the checkpoint take on disk: nothing
+// panics; OpenWAL keeps a prefix of the file that reads back, without a
+// torn tail, as exactly the records it returned — all of them when the
+// whole file is intact — or refuses and leaves the file as it was; and
+// loadCheckpoint accepts a file only when its records' frames cover every
+// byte.
+func FuzzLogFile(f *testing.F) {
+	log := append([]byte(nil), logHeader...)
+	for seq := uint64(1); seq <= 3; seq++ {
+		var err error
+		if log, err = appendFrame(log, seq, []Mutation{{Op: OpCreateGraph, Doc: "db", Graph: fmt.Sprintf("g%d", seq)}}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	s := New(Options{})
+	s.RegisterDoc("db", graph.Collection{graph.New("g0"), graph.New("g1")})
+	s.RegisterDoc("aux", graph.Collection{graph.New("h")})
+	var cp bytes.Buffer
+	if err := writeCheckpoint(&cp, s.Snapshot()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-3])
+	f.Add(cp.Bytes())
+	f.Add(append(append([]byte(nil), cp.Bytes()...), 0))
+	f.Add(append([]byte("GQLS\x01"), cp.Bytes()[5:]...))
+	f.Add(logHeader)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<20 {
+			t.Skip("oversized input")
+		}
+		dir := t.TempDir()
+		cpPath := filepath.Join(dir, "snapshot.bin")
+		if err := os.WriteFile(cpPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		strict, _, strictErr := readLog(data, cpPath, false)
+		if _, err := loadCheckpoint(New(Options{Shards: 2}), cpPath); err == nil {
+			if strictErr != nil {
+				t.Fatalf("checkpoint loaded, but the file does not read: %v", strictErr)
+			}
+			off := len(logHeader)
+			for range strict {
+				off += 8 + int(binary.LittleEndian.Uint32(data[off:]))
+			}
+			if off != len(data) {
+				t.Fatalf("checkpoint loaded with %d of %d bytes in its records' frames", off, len(data))
+			}
+		}
+
+		walPath := filepath.Join(dir, "wal.log")
+		if err := os.WriteFile(walPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, recs, err := OpenWAL(walPath, false)
+		after, rerr := os.ReadFile(walPath)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(after, data) {
+				t.Fatalf("refused log was changed from %d to %d bytes", len(data), len(after))
+			}
+			return
+		}
+		w.Close()
+		if len(data) == 0 {
+			data = logHeader
+		}
+		if !bytes.HasPrefix(data, after) {
+			t.Fatalf("kept %d bytes that are not a prefix of the %d-byte file", len(after), len(data))
+		}
+		kept, _, err := readLog(after, walPath, false)
+		if err != nil || len(kept) != len(recs) {
+			t.Fatalf("kept prefix reads back as %d records (%v), open returned %d", len(kept), err, len(recs))
+		}
+		if strictErr == nil && (len(recs) != len(strict) || len(after) != len(data)) {
+			t.Fatalf("intact file: open kept %d of %d records", len(recs), len(strict))
 		}
 	})
 }
