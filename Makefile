@@ -67,9 +67,11 @@ vet:
 		if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 ## gqlvet: run the project-specific analyzers (internal/analysis) over
-## the module, _test.go files included; non-zero exit on any finding
+## the module, _test.go files included, and print the run's wall time;
+## non-zero exit on any finding
 gqlvet:
-	$(GO) run ./cmd/gqlvet -tests ./...
+	@start=$$(date +%s); $(GO) run ./cmd/gqlvet -tests ./...; rc=$$?; \
+		echo "gqlvet: $$(( $$(date +%s) - start ))s wall"; exit $$rc
 
 ## fuzz-smoke: brief fuzz of the parsers, the binary/TSV graph readers,
 ## the expression evaluator, the HTTP query frontend, the shard wire, the

@@ -1,6 +1,6 @@
 // Command gqlvet runs gqldb's project-specific static-analysis suite (see
 // internal/analysis) over the module: panicfree, valuecmp, gosafe, errwrap,
-// recbound, ctxpoll, detmerge and aliasguard. It prints one
+// detmerge and aliasguard. It prints one
 // file:line:col: [analyzer] message line per finding and exits non-zero
 // when anything is flagged, so it can gate CI next to go vet.
 //

@@ -127,7 +127,7 @@ func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-only", "nosuch", "-root", dirtyRoot()},
 		{"-disable", "nosuch", "-root", dirtyRoot()},
-		{"-disable", "panicfree,valuecmp,gosafe,errwrap,recbound,ctxpoll,detmerge,aliasguard", "-root", dirtyRoot()},
+		{"-disable", "panicfree,valuecmp,gosafe,errwrap,detmerge,aliasguard", "-root", dirtyRoot()},
 		{"-root", filepath.Join("testdata", "nonexistent")},
 		{"-badflag"},
 	} {
@@ -138,7 +138,7 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkVet measures a full driver pass — parse, type-check, all eight
+// BenchmarkVet measures a full driver pass — parse, type-check, all six
 // analyzers — over the dirty fixture module.
 func BenchmarkVet(b *testing.B) {
 	b.ReportAllocs()
@@ -157,7 +157,7 @@ func TestRunList(t *testing.T) {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
 	for _, name := range []string{"panicfree", "valuecmp", "gosafe", "errwrap",
-		"recbound", "ctxpoll", "detmerge", "aliasguard"} {
+		"detmerge", "aliasguard"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s", name)
 		}

@@ -150,7 +150,7 @@ func (t *Template) expand(args map[string]Operand) (*instantiation, error) {
 
 // rep follows unification links to the representative node.
 func (ins *instantiation) rep(v graph.NodeID) graph.NodeID {
-	for { //gqlvet:ignore ctxpoll -- union-find link chase; merged is acyclic by construction, depth bounded by node count
+	for { // union-find link chase; merged is acyclic by construction, depth bounded by node count
 		w, ok := ins.merged[v]
 		if !ok {
 			return v
@@ -199,7 +199,7 @@ func (ins *instantiation) freshName(name string) string {
 		return name
 	}
 	// The suffix keeps names valid identifiers so results re-parse.
-	for i := 2; ; i++ { //gqlvet:ignore ctxpoll -- terminates at the first free suffix; bounded by result node count
+	for i := 2; ; i++ { // terminates at the first free suffix; bounded by result node count
 		c := name + "_" + strconv.Itoa(i)
 		if _, taken := ins.out.NodeByName(c); !taken {
 			return c

@@ -1,28 +1,26 @@
 // Package analysis is gqldb's project-specific static-analysis suite: a
 // small, stdlib-only (go/parser + go/ast + go/types) analyzer framework and
-// eight analyzers that mechanize the review rules the query engine, the
+// six analyzers that mechanize the review rules the query engine, the
 // store and the server depend on:
 //
 //   - panicfree: no panic/log.Fatal in hot-path packages (explicit allowlist
 //     for constructor-time panics in graph)
 //   - valuecmp: no ==/!=/reflect.DeepEqual on graph.Value or graph.Tuple;
 //     use Compare/Equal
-//   - gosafe: goroutine bodies must not call known non-thread-safe methods
-//     or write captured variables without index partitioning
+//   - gosafe: goroutine bodies (go statements and pool.Run literals) must
+//     not call known non-thread-safe methods or write captured variables
+//     without index partitioning
 //   - errwrap: exported internal functions returning error must package-
 //     prefix their messages or wrap with %w
-//   - recbound: every recursive call in match/motif must decrement a
-//     depth/budget argument or sit behind a dominating limit/cancellation
-//     check
-//   - ctxpoll: unbounded loops in match/algebra/pool/store must poll
-//     cancellation on a path that runs every iteration
 //   - detmerge: no map-order, wall-clock or global-rand nondeterminism in
 //     merge and result paths
 //   - aliasguard: values returned by the store's shared-by-reference
 //     accessors must not be mutated
 //
-// Control-flow questions (dominance) go through dataflow.go's CFG; value
-// provenance through its flow-insensitive taint closure.
+// Each one is the only gate — beside go vet, go test and go test -race —
+// that catches some seeded bug in DESIGN.md §10's table; recbound and
+// ctxpoll caught nothing the tests did not, and were deleted. Value
+// provenance goes through dataflow.go's flow-insensitive taint closure.
 //
 // The driver lives in cmd/gqlvet.
 package analysis
@@ -112,8 +110,6 @@ func All() []*Analyzer {
 		ValueCmp,
 		GoSafe,
 		ErrWrap,
-		RecBound,
-		CtxPoll,
 		DetMerge,
 		AliasGuard,
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // parseUnit type-checks one source file and returns the pass plus the named
-// function's unit and CFG.
-func parseUnit(t *testing.T, src, fn string) (*Pass, funcUnit, *CFG) {
+// function's unit.
+func parseUnit(t *testing.T, src, fn string) (*Pass, funcUnit) {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "unit.go", src, parser.SkipObjectResolution)
@@ -32,146 +32,11 @@ func parseUnit(t *testing.T, src, fn string) (*Pass, funcUnit, *CFG) {
 	pass := &Pass{Fset: fset, Path: "unit", Files: []*ast.File{file}, Pkg: pkg, Info: info}
 	for _, u := range funcUnits(file) {
 		if u.Name == fn {
-			return pass, u, NewCFG(u.Body)
+			return pass, u
 		}
 	}
 	t.Fatalf("function %q not found", fn)
-	return nil, funcUnit{}, nil
-}
-
-// findCall locates the first call whose printed callee contains name.
-func findCall(t *testing.T, body ast.Node, name string) *ast.CallExpr {
-	t.Helper()
-	var out *ast.CallExpr
-	ast.Inspect(body, func(n ast.Node) bool {
-		if out != nil {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == name {
-				out = call
-				return false
-			}
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == name {
-				out = call
-				return false
-			}
-		}
-		return true
-	})
-	if out == nil {
-		t.Fatalf("call %q not found", name)
-	}
-	return out
-}
-
-const domSrc = `package unit
-
-func sink(int)
-func pre()
-func inBranch()
-func post()
-
-func guarded(n int) {
-	pre()
-	if n > 0 {
-		inBranch()
-	}
-	post()
-}
-
-func loop(n int) {
-	for i := 0; i < n; i++ {
-		pre()
-		if i%2 == 0 {
-			continue
-		}
-		inBranch()
-	}
-	post()
-}
-
-func whileTrue(done chan struct{}) {
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		pre()
-	}
-}
-`
-
-func TestDominance(t *testing.T) {
-	_, u, cfg := parseUnit(t, domSrc, "guarded")
-	preB := cfg.BlockOf(findCall(t, u.Body, "pre"))
-	inB := cfg.BlockOf(findCall(t, u.Body, "inBranch"))
-	postB := cfg.BlockOf(findCall(t, u.Body, "post"))
-	if preB == nil || inB == nil || postB == nil {
-		t.Fatal("calls not mapped to blocks")
-	}
-	if !cfg.Dominates(preB, inB) || !cfg.Dominates(preB, postB) {
-		t.Error("pre() should dominate both inBranch() and post()")
-	}
-	if cfg.Dominates(inB, postB) {
-		t.Error("inBranch() is conditional; must not dominate post()")
-	}
-}
-
-func TestLoopLatchDominance(t *testing.T) {
-	_, u, cfg := parseUnit(t, domSrc, "loop")
-	var forStmt *ast.ForStmt
-	ast.Inspect(u.Body, func(n ast.Node) bool {
-		if f, ok := n.(*ast.ForStmt); ok && forStmt == nil {
-			forStmt = f
-		}
-		return true
-	})
-	loop := cfg.LoopOf(forStmt)
-	if loop == nil {
-		t.Fatal("loop not registered")
-	}
-	preB := cfg.BlockOf(findCall(t, u.Body, "pre"))
-	inB := cfg.BlockOf(findCall(t, u.Body, "inBranch"))
-	if !cfg.Dominates(preB, loop.Latch) {
-		t.Error("unconditional body stmt must dominate the latch")
-	}
-	if cfg.Dominates(inB, loop.Latch) {
-		t.Error("stmt after continue-guard must NOT dominate the latch")
-	}
-	if !cfg.Dominates(loop.Head, loop.Latch) || !cfg.Dominates(loop.Head, loop.Exit) {
-		t.Error("head must dominate latch and exit")
-	}
-}
-
-func TestSelectPollDominatesLatch(t *testing.T) {
-	_, u, cfg := parseUnit(t, domSrc, "whileTrue")
-	var forStmt *ast.ForStmt
-	ast.Inspect(u.Body, func(n ast.Node) bool {
-		if f, ok := n.(*ast.ForStmt); ok && forStmt == nil {
-			forStmt = f
-		}
-		return true
-	})
-	loop := cfg.LoopOf(forStmt)
-	if loop == nil {
-		t.Fatal("loop not registered")
-	}
-	var sel *ast.SelectStmt
-	ast.Inspect(u.Body, func(n ast.Node) bool {
-		if s, ok := n.(*ast.SelectStmt); ok {
-			sel = s
-		}
-		return true
-	})
-	selB := cfg.BlockOf(sel)
-	if selB == nil {
-		t.Fatal("select head not mapped")
-	}
-	if !cfg.Dominates(selB, loop.Latch) {
-		t.Error("select head at loop top must dominate the latch")
-	}
+	return nil, funcUnit{}
 }
 
 const taintSrc = `package unit
@@ -191,7 +56,7 @@ func flows() {
 `
 
 func TestTaintClosure(t *testing.T) {
-	pass, u, _ := parseUnit(t, taintSrc, "flows")
+	pass, u := parseUnit(t, taintSrc, "flows")
 	tainted := taintedVars(pass, u, taintSpec{
 		seed: func(e ast.Expr) bool {
 			call, ok := e.(*ast.CallExpr)

@@ -54,7 +54,8 @@ var unsafeInGoroutine = map[string]map[string]bool{
 	"internal/server.ndjsonWriter": {"line": true, "flush": true},
 }
 
-// GoSafe inspects goroutine bodies (as in pool.Run's workers) for
+// GoSafe inspects goroutine bodies — `go` statements and the function
+// literals handed to pool.Run, which run on the pool's workers — for
 // the two race shapes that matter in this codebase: calls to known
 // non-thread-safe mutators, and writes to captured variables that are not
 // index-partitioned. A write whose access path goes through an index
@@ -70,19 +71,26 @@ var GoSafe = &Analyzer{
 func runGoSafe(pass *Pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				// go g.AddNode(...) — direct unsafe call as the goroutine.
+				if typ, m := unsafeMethod(pass, n.Call); m != "" {
+					pass.Reportf(n.Pos(), "goroutine calls non-thread-safe %s.%s", typ, m)
+				}
+				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
+					checkGoroutineBody(pass, lit)
+				}
+			case *ast.CallExpr:
+				fn := calleeOf(pass, n)
+				if trimToInternal(pkgLevelFuncOf(fn)) != "internal/pool" || fn.Name() != "Run" {
+					return true
+				}
+				for _, arg := range n.Args {
+					if lit, ok := arg.(*ast.FuncLit); ok {
+						checkGoroutineBody(pass, lit)
+					}
+				}
 			}
-			// go g.AddNode(...) — direct unsafe call as the goroutine.
-			if typ, m := unsafeMethod(pass, gs.Call); m != "" {
-				pass.Reportf(gs.Pos(), "goroutine calls non-thread-safe %s.%s", typ, m)
-			}
-			lit, ok := gs.Call.Fun.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			checkGoroutineBody(pass, lit)
 			return true
 		})
 	}

@@ -1,8 +1,9 @@
 // Package match is analyzer corpus: hot-path cases for panicfree,
-// valuecmp, gosafe and recbound, with both flagged and allowed forms.
+// valuecmp and gosafe, with both flagged and allowed forms.
 package match
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 
@@ -10,6 +11,7 @@ import (
 	"gqldb/internal/index"
 	"gqldb/internal/obs"
 	"gqldb/internal/pattern"
+	"gqldb/internal/pool"
 )
 
 // ---- panicfree ----
@@ -89,6 +91,20 @@ func RacyWorkers(g *graph.Graph, b *graph.Builder, st *Stats, in *index.Interner
 	return shared
 }
 
+// PoolWorkers: a pool.Run literal runs on the pool's workers, so the racy
+// shapes are flagged there too; the index-partitioned slot write is not.
+func PoolWorkers(ctx context.Context, st *Stats, vals []int) ([]int, int, error) {
+	total := 0
+	out := make([]int, len(vals))
+	err := pool.Run(ctx, len(vals), 2, func(i int) error {
+		out[i] = vals[i]
+		total += vals[i]         // want:gosafe `captured variable "total"`
+		st.RecordOp("selection") // want:gosafe `non-thread-safe internal/match.Stats.RecordOp`
+		return nil
+	})
+	return out, total, err
+}
+
 // TracedWorkers uses only the worker-safe span mutators: allowed.
 func TracedWorkers(sp *obs.Span, vals []int) {
 	ch := make(chan struct{})
@@ -130,166 +146,6 @@ func SuppressedWrite() int {
 	}()
 	<-ch
 	return total + 1
-}
-
-// ---- recbound ----
-
-// Collatz recurses with no visible bound: flagged.
-func Collatz(n int) int { // want:recbound `recursive function Collatz`
-	if n <= 1 {
-		return 0
-	}
-	if n%2 == 0 {
-		return 1 + Collatz(n/2)
-	}
-	return 1 + Collatz(3*n+1)
-}
-
-// Even and Odd are mutually recursive with no bound: both flagged.
-func Even(n int) bool { // want:recbound `recursive function Even`
-	if n == 0 {
-		return true
-	}
-	return Odd(n - 1)
-}
-
-// Odd is the other half of the cycle.
-func Odd(n int) bool { // want:recbound `recursive function Odd`
-	if n == 0 {
-		return false
-	}
-	return Even(n - 1)
-}
-
-// WalkDepth threads a depth budget: allowed.
-func WalkDepth(n, depth int) int {
-	if depth <= 0 || n <= 1 {
-		return 0
-	}
-	return 1 + WalkDepth(n/2, depth-1)
-}
-
-// DrillLucky names a parameter "depth" but never checks or decrements it —
-// the bound is spelling, not dataflow. The lexical scan accepted this;
-// the dataflow rules flag it.
-func DrillLucky(n, depth int) int { // want:recbound `recursive function DrillLucky`
-	if n <= 1 {
-		return depth
-	}
-	return DrillLucky(n/2, depth)
-}
-
-// DrillChecked passes depth through unchanged but gates on it: allowed
-// (the check is the bound; think cancellation flags).
-func DrillChecked(n, depth int) int {
-	if depth <= 0 || n <= 1 {
-		return 0
-	}
-	return DrillChecked(n/2, depth)
-}
-
-// GuardedOffPath checks depth only on a sibling branch: the recursion at
-// the bottom runs whether or not the check did, so the check dominates
-// nothing. The lexical rule ("a bound word appears in some condition")
-// accepted this; the dominance rule flags it.
-func GuardedOffPath(n, depth int) int { // want:recbound `recursive function GuardedOffPath`
-	if n > 100 {
-		if depth <= 0 {
-			return 0
-		}
-	}
-	return GuardedOffPath(n/2, depth)
-}
-
-// CheckedAfter checks depth only after the recursive call has already
-// happened — a gate behind the horse. Flagged under dominance; the lexical
-// rule accepted it.
-func CheckedAfter(n, depth int) int { // want:recbound `recursive function CheckedAfter`
-	if n <= 1 {
-		return 0
-	}
-	r := CheckedAfter(n/2, depth)
-	if depth <= 0 {
-		return 0
-	}
-	return r
-}
-
-// LoopGuarded recurses inside a loop whose head condition checks the
-// budget: the head dominates the body, so every recursive call is gated —
-// recbound allows it. The same loop carries recursion with no
-// cancellation poll, so ctxpoll (rightly) still fires on it.
-func LoopGuarded(n, depth int) int {
-	total := 0
-	for i := 0; i < depth; i++ { // want:ctxpoll `never polls`
-		total += LoopGuarded(n/2, depth)
-	}
-	return total
-}
-
-// ShortCircuitGuard gates the recursion inside the same condition via
-// short-circuit evaluation: allowed.
-func ShortCircuitGuard(n, depth int) bool {
-	if depth > 0 && ShortCircuitGuard(n/2, depth) {
-		return true
-	}
-	return false
-}
-
-// Iterative has no recursion at all: allowed.
-func Iterative(n int) int {
-	total := 0
-	for i := 0; i < n; i++ {
-		total += i
-	}
-	return total
-}
-
-// ---- ctxpoll (registry poll helper) ----
-
-// searcher mimics the real matcher's cancellation plumbing: the context's
-// Done channel is captured as a field, and cancelled() is the registered
-// poll helper (ctxPollFuncs).
-type searcher struct {
-	ctxDone <-chan struct{}
-	done    bool
-	cand    [][]int
-}
-
-// cancelled is the canonical per-step poll.
-func (s *searcher) cancelled() bool {
-	select {
-	case <-s.ctxDone:
-		return true
-	default:
-		return false
-	}
-}
-
-// rec backtracks with a registry poll dominating every iteration of the
-// candidate loop: allowed by ctxpoll (and the cancel-word check dominates
-// the recursion, so recbound allows it too).
-func (s *searcher) rec(i int) {
-	if i >= len(s.cand) {
-		return
-	}
-	for range s.cand[i] {
-		if s.done || s.cancelled() {
-			return
-		}
-		s.rec(i + 1)
-	}
-}
-
-// drill recurses under its loop without any poll: ctxpoll flags the loop
-// (and recbound flags the function — no bound dominates the call).
-func (s *searcher) drill(i int) { // want:recbound `recursive function drill`
-	if i >= len(s.cand) {
-		return
-	}
-	for range s.cand[i] { // want:ctxpoll `never polls`
-		s.drill(i + 1)
-	}
 }
 
 // ---- plan cache (gosafe + aliasguard registries) ----

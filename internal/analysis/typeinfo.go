@@ -99,16 +99,6 @@ func namedTypeKey(t types.Type) string {
 	return trimToInternal(obj.Pkg().Path()) + "." + obj.Name()
 }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
 // isTypeConversion reports whether the call expression is a conversion
 // (the Fun position names a type, not a function).
 func isTypeConversion(pass *Pass, call *ast.CallExpr) bool {
@@ -132,8 +122,8 @@ func isTestFile(pass *Pass, n ast.Node) bool {
 
 // funcUnit is one analyzable body: a declared function or a function
 // literal. Literals are separate units because their bodies execute on
-// their own control paths (often on another goroutine), so CFGs and
-// dataflow never cross a FuncLit boundary.
+// their own control paths (often on another goroutine), so the taint
+// closure never crosses a FuncLit boundary.
 type funcUnit struct {
 	Name string         // declared name, or "<enclosing>.func" for literals
 	Decl *ast.FuncDecl  // nil for literals
@@ -151,77 +141,24 @@ func funcUnits(file *ast.File) []funcUnit {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		units = append(units, declUnits(fd)...)
-	}
-	return units
-}
-
-// declUnits yields one declaration's units: the FuncDecl itself plus every
-// FuncLit nested in its body.
-func declUnits(fd *ast.FuncDecl) []funcUnit {
-	units := []funcUnit{{Name: fd.Name.Name, Decl: fd, Body: fd.Body}}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			units = append(units, funcUnit{Name: fd.Name.Name + ".func", Lit: lit, Body: lit.Body})
-		}
-		return true
-	})
-	return units
-}
-
-// callGraph is the package-local call graph recbound and ctxpoll use to
-// find recursion: every function declared with a body in the package, and
-// for each the local functions its body (literals included) references.
-type callGraph struct {
-	decls map[*types.Func]*ast.FuncDecl
-	calls map[*types.Func][]*types.Func
-}
-
-func newCallGraph(pass *Pass) *callGraph {
-	g := &callGraph{decls: map[*types.Func]*ast.FuncDecl{}, calls: map[*types.Func][]*types.Func{}}
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-					g.decls[obj] = fd
-				}
-			}
-		}
-	}
-	for caller, fd := range g.decls {
+		units = append(units, funcUnit{Name: fd.Name.Name, Decl: fd, Body: fd.Body})
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if callee, ok := pass.Info.Uses[id].(*types.Func); ok && g.local(callee) {
-					g.calls[caller] = append(g.calls[caller], callee)
-				}
+			if lit, ok := n.(*ast.FuncLit); ok {
+				units = append(units, funcUnit{Name: fd.Name.Name + ".func", Lit: lit, Body: lit.Body})
 			}
 			return true
 		})
 	}
-	return g
+	return units
 }
 
-// local reports whether fn is declared with a body in this package.
-func (g *callGraph) local(fn *types.Func) bool { return g.decls[fn] != nil }
-
-// reaches reports whether target is reachable from fn over call edges;
-// reaches(fn, fn) is "fn is recursive".
-func (g *callGraph) reaches(fn, target *types.Func) bool {
-	seen := map[*types.Func]bool{}
-	var walk func(*types.Func) bool
-	walk = func(fn *types.Func) bool {
-		for _, callee := range g.calls[fn] {
-			if callee == target {
-				return true
-			}
-			if !seen[callee] {
-				seen[callee] = true
-				if walk(callee) {
-					return true
-				}
-			}
+// walkUnit inspects the unit's body without descending into nested
+// function literals (each is its own unit).
+func walkUnit(u funcUnit, fn func(ast.Node) bool) {
+	ast.Inspect(u.Body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && lit != u.Lit {
+			return false
 		}
-		return false
-	}
-	return walk(fn)
+		return fn(n)
+	})
 }

@@ -331,8 +331,9 @@ func neighbors(g *graph.Graph, v graph.NodeID) []graph.NodeID {
 // keeps its edges with probability 1/2. With probability 1/4 one node's
 // label is redrawn from the first five labels, so some patterns have no
 // answer. When nodePreds is set, every node also gets a random comparison
-// on w. It returns nil when no connected set of that size is found.
-func connectedPattern(g *graph.Graph, size int, rng *rand.Rand, nodePreds bool) *pattern.Pattern {
+// on w. When partial is set, 1 to size-1 random nodes carry no label
+// constraint. It returns nil when no connected set of that size is found.
+func connectedPattern(g *graph.Graph, size int, rng *rand.Rand, nodePreds, partial bool) *pattern.Pattern {
 	for attempt := 0; attempt < 20; attempt++ {
 		sel := []graph.NodeID{graph.NodeID(rng.Intn(g.NumNodes()))}
 		pos := map[graph.NodeID]int{sel[0]: 0}
@@ -360,6 +361,12 @@ func connectedPattern(g *graph.Graph, size int, rng *rand.Rand, nodePreds bool) 
 		if rng.Intn(4) == 0 {
 			relabel = rng.Intn(size)
 		}
+		bare := map[int]bool{}
+		if partial {
+			for _, i := range rng.Perm(size)[:1+rng.Intn(size-1)] {
+				bare[i] = true
+			}
+		}
 		for i, v := range sel {
 			label := g.Label(v)
 			if i == relabel {
@@ -369,7 +376,11 @@ func connectedPattern(g *graph.Graph, size int, rng *rand.Rand, nodePreds bool) 
 			if nodePreds {
 				where = expr.Binary{Op: cmpOps[rng.Intn(len(cmpOps))], L: expr.Name{Parts: []string{"w"}}, R: expr.Lit{Val: graph.Int(int64(rng.Intn(5)))}}
 			}
-			p.AddNode("", graph.TupleOf("", "label", label), where)
+			var attrs *graph.Tuple
+			if !bare[i] {
+				attrs = graph.TupleOf("", "label", label)
+			}
+			p.AddNode("", attrs, where)
 		}
 		keep, added := map[[2]int]bool{}, map[[2]int]bool{}
 		for i, v := range sel {
@@ -405,16 +416,16 @@ type outcome struct {
 	indexed int // members large enough for the store's §4 index
 }
 
-// trial draws a collection and one label pattern and one node-predicate
-// pattern from seed, and reports every engine that disagrees with the
-// baseline matcher through t.
-func trial(t testing.TB, seed int64, sh shape) outcome {
+// trial draws a collection and one label pattern (partially labelled when
+// partial is set) and one node-predicate pattern from seed, and reports
+// every engine that disagrees with the baseline matcher through t.
+func trial(t testing.TB, seed int64, sh shape, partial bool) outcome {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	coll := collection(rng, sh)
 	from := coll[rng.Intn(len(coll))]
-	label := connectedPattern(from, 2+rng.Intn(4), rng, false)
-	withPreds := connectedPattern(from, 2+rng.Intn(4), rng, true)
+	label := connectedPattern(from, 2+rng.Intn(4), rng, false, partial)
+	withPreds := connectedPattern(from, 2+rng.Intn(4), rng, true, false)
 	if label == nil || withPreds == nil {
 		return outcome{}
 	}
@@ -454,7 +465,8 @@ func compare(t testing.TB, seed int64, p *pattern.Pattern, engines []engine) ans
 // TestEnginesAgree is the differential test proper: 120 seeded trials,
 // alternating undirected and directed collections of two to five small
 // members; every tenth trial adds a 140-node member, which the store serves
-// with its per-member index.
+// with its per-member index, and every third trial's label pattern leaves
+// some nodes unlabelled, which the store's path index must not prune on.
 func TestEnginesAgree(t *testing.T) {
 	trials := 120
 	if testing.Short() {
@@ -466,7 +478,7 @@ func TestEnginesAgree(t *testing.T) {
 		if i%10 == 9 {
 			sh.big = 140
 		}
-		o := trial(t, int64(i), sh)
+		o := trial(t, int64(i), sh, i%3 == 2)
 		if o.answers > 0 {
 			answered++
 		}
@@ -529,7 +541,7 @@ func TestRenamingInvariance(t *testing.T) {
 		seed := int64(1000 + i)
 		rng := rand.New(rand.NewSource(seed))
 		g := collection(rng, shape{members: 1, maxNodes: 40, directed: i%2 == 1})[0]
-		p := connectedPattern(g, 2+rng.Intn(4), rng, false)
+		p := connectedPattern(g, 2+rng.Intn(4), rng, false, false)
 		if p == nil {
 			continue
 		}
@@ -557,7 +569,7 @@ func TestEdgeMonotonicity(t *testing.T) {
 		seed := int64(2000 + i)
 		rng := rand.New(rand.NewSource(seed))
 		g := collection(rng, shape{members: 1, maxNodes: 40, directed: i%2 == 1})[0]
-		p := connectedPattern(g, 2+rng.Intn(4), rng, false)
+		p := connectedPattern(g, 2+rng.Intn(4), rng, false, false)
 		if p == nil {
 			continue
 		}

@@ -82,7 +82,7 @@ func (s *searcher) greedyOrder() ([]graph.NodeID, float64) {
 	size := float64(len(s.phi[first]))
 	total := 0.0
 
-	for len(order) < n { //gqlvet:ignore ctxpoll -- grows order every iteration; bounded by pattern size n, not data
+	for len(order) < n { // grows order every iteration; bounded by pattern size n, not data
 		best := graph.NodeID(-1)
 		bestCost, bestSize := math.Inf(1), math.Inf(1)
 		for u := 0; u < n; u++ {

@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"strings"
 
+	"gqldb/internal/expr"
 	"gqldb/internal/graph"
 	"gqldb/internal/pattern"
 )
 
 // PatternToSQL emits the Figure 4.2 multi-join SQL query for a label
-// pattern: one V alias per pattern node (with its label equality), one E
+// pattern: one V alias per pattern node (with its label equality when the
+// node has a constant label; an unlabelled node matches any vertex), one E
 // alias per pattern edge (joined on the endpoints' vids), and pairwise <>
-// conditions for injectivity. Only patterns whose every node carries a
-// constant label constraint and whose edges and residual predicate are
-// empty can be encoded — exactly the §5 workloads.
+// conditions for injectivity. Only patterns whose node constraints are at
+// most a constant label and whose edges and residual predicate are empty
+// can be encoded — the §5 workloads, plus partially labelled patterns.
 func PatternToSQL(p *pattern.Pattern) (string, error) {
 	if err := p.Compile(); err != nil {
 		return "", err
@@ -27,14 +29,16 @@ func PatternToSQL(p *pattern.Pattern) (string, error) {
 	}
 	var sel, from, where []string
 	for _, n := range m.Nodes() {
-		label, ok := p.ConstLabel(n.ID)
-		if !ok {
-			return "", fmt.Errorf("sqlbase: pattern node %s has no constant label", n.Name)
-		}
 		alias := fmt.Sprintf("V%d", n.ID+1)
 		sel = append(sel, alias+".vid")
 		from = append(from, "V AS "+alias)
-		where = append(where, fmt.Sprintf("%s.label = '%s'", alias, strings.ReplaceAll(label, "'", "''")))
+		label, labelled := p.ConstLabel(n.ID)
+		if conds := len(expr.Conjuncts(p.NodePred[n.ID])); conds > 1 || conds == 1 && !labelled {
+			return "", fmt.Errorf("sqlbase: pattern node %s has a constraint other than its label; not expressible in the V/E encoding", n.Name)
+		}
+		if labelled {
+			where = append(where, fmt.Sprintf("%s.label = '%s'", alias, strings.ReplaceAll(label, "'", "''")))
+		}
 	}
 	for _, e := range m.Edges() {
 		alias := fmt.Sprintf("E%d", e.ID+1)

@@ -156,11 +156,22 @@ func TestPatternToSQLShape(t *testing.T) {
 			t.Errorf("query missing %q:\n%s", want, q)
 		}
 	}
-	// Unlabelled node: not encodable.
+	// An unlabelled node joins and stays injective, with no label condition.
 	p := pattern.New("P")
-	p.AddNode("x", nil, nil)
+	p.AddNode("x", graph.TupleOf("", "label", "A"), nil)
+	p.AddNode("y", nil, nil)
+	q, err = PatternToSQL(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(q, "V1.label = 'A'") || strings.Contains(q, "V2.label") || !strings.Contains(q, "V1.vid <> V2.vid") {
+		t.Errorf("partially labelled pattern:\n%s", q)
+	}
+	// Any other node constraint is not encodable.
+	p = pattern.New("P")
+	p.AddNode("x", graph.TupleOf("", "w", graph.Int(1)), nil)
 	if _, err := PatternToSQL(p); err == nil {
-		t.Error("unlabelled pattern should not translate")
+		t.Error("a non-label node constraint should not translate")
 	}
 }
 

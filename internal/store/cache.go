@@ -104,7 +104,7 @@ func (c *Cache) SetCapacity(n int) {
 		n = 1
 	}
 	c.capacity = n
-	for c.order.Len() > c.capacity { //gqlvet:ignore ctxpoll -- shrinks the LRU by one per iteration; bounded by entry count, not data
+	for c.order.Len() > c.capacity { // shrinks the LRU by one per iteration; bounded by entry count, not data
 		c.evictOldest()
 	}
 }

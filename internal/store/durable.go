@@ -166,6 +166,10 @@ func (s *DocStore) checkpointLocked() error {
 		os.Remove(tmp)
 		return err
 	}
+	// The rename must be durable before the log it replaces is emptied.
+	if err := syncDir(s.dir); err != nil {
+		return err
+	}
 	if err := s.wal.Reset(); err != nil {
 		return err
 	}

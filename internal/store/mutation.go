@@ -450,7 +450,7 @@ func (s *DocStore) buildStagedDoc(sd *stagedDoc) *Doc {
 	shards := make([]*Shard, n)
 	copy(shards, sd.base.shards)
 	for si, ords := range byShard {
-		shards[si] = rebuildShard(sd.base.shards[si], sd.coll, ords, s.opts.IndexMaxLen)
+		shards[si] = rebuildShard(sd.base.shards[si], sd.coll, ords, n, s.opts.IndexMaxLen)
 		obs.StoreShardRebuilds.Inc()
 	}
 	d.shards = shards
@@ -468,23 +468,20 @@ func clampShards(shards, collLen int) int {
 	return min(shards, collLen)
 }
 
-// rebuildShard copies one shard with the changed canonical ordinals
-// replaced (same shard-local position) or appended (canonical ordinals
-// past the base keep Ords ascending because appends grow the collection
-// tail). The shard's path index is updated incrementally from the old one.
-func rebuildShard(old *Shard, coll graph.Collection, changedOrds []int, ixLen int) *Shard {
+// rebuildShard copies one shard of an n-shard partition with the changed
+// canonical ordinals replaced (shardOf is round-robin, so ord sits at
+// shard-local position ord/n) or appended (canonical ordinals past the
+// base keep Ords ascending because appends grow the collection tail). The
+// shard's path index is updated incrementally from the old one.
+func rebuildShard(old *Shard, coll graph.Collection, changedOrds []int, n, ixLen int) *Shard {
 	sort.Ints(changedOrds)
 	ns := &Shard{
 		Ords: append([]int32(nil), old.Ords...),
 		Coll: append(graph.Collection(nil), old.Coll...),
 	}
-	pos := make(map[int32]int, len(old.Ords))
-	for i, o := range old.Ords {
-		pos[o] = i
-	}
 	changedLocal := make([]int32, 0, len(changedOrds))
 	for _, ord := range changedOrds {
-		if i, ok := pos[int32(ord)]; ok {
+		if i := ord / n; i < len(old.Ords) {
 			ns.Coll[i] = coll[ord]
 			changedLocal = append(changedLocal, int32(i))
 		} else {

@@ -36,6 +36,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"gqldb/internal/graph"
 	"gqldb/internal/obs"
@@ -96,6 +97,9 @@ func OpenWAL(path string, sync bool) (_ *WAL, _ []WALRecord, err error) {
 		if err := f.Sync(); err != nil {
 			return nil, nil, fmt.Errorf("store: wal: %w", err)
 		}
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			return nil, nil, fmt.Errorf("store: wal: %w", err)
+		}
 		data = logHeader
 	}
 	recs, good, err := readLog(data, path, true)
@@ -109,6 +113,20 @@ func OpenWAL(path string, sync bool) (_ *WAL, _ []WALRecord, err error) {
 		return nil, nil, fmt.Errorf("store: wal: %w", err)
 	}
 	return &WAL{f: f, sync: sync, end: good, records: len(recs)}, recs, nil
+}
+
+// syncDir fsyncs a directory, so that an entry created or renamed in it
+// survives a power loss: the name lives in the directory, not in the file.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readLog decodes a whole log file — the header, then every record — and

@@ -444,7 +444,7 @@ func DecodeResult(r io.Reader, req ShardRequest) (ShardResult, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxWireLine)
 	lastOrd := -1
-	for sc.Scan() { //gqlvet:ignore ctxpoll -- reads a finite HTTP response body; the per-attempt request context deadlines the transport, and EOF ends the scan
+	for sc.Scan() { // reads a finite HTTP response body; the per-attempt request context deadlines the transport, and EOF ends the scan
 		f, err := DecodeFrame(sc.Bytes())
 		if err != nil {
 			return res, err
