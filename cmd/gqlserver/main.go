@@ -107,7 +107,7 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "request body cap in bytes; larger bodies get 413")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
 	slow := flag.Duration("slow", 0, "slow-query log threshold (0 disables; e.g. 100ms)")
-	shards := flag.Int("shards", 1, "hash partitions per document (each shard filters on its own path index; with -selector each is one wire job)")
+	shards := flag.Int("shards", 1, "round-robin partitions per document (each shard filters on its own path index; with -selector each is one wire job)")
 	cache := flag.Int("cache", 0, "result cache capacity in entries (0 disables caching)")
 	planCache := flag.Int("plan-cache", 0, "search-plan cache capacity in entries (0 disables plan caching)")
 	indexLen := flag.Int("index-paths", 0, "per-shard path-feature index max length (0 disables; 3 is a good default for many small graphs)")

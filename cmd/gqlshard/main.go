@@ -1,20 +1,21 @@
 // Command gqlshard serves one process of the distributed read path: a
 // shard server holding a full mirror of the document set, partitioned
-// locally with the same deterministic hash as the frontend, answering
-// per-shard selection jobs over the store wire protocol. A job carries only
-// exhaustive and limit: the mirror's store picks each member's access method.
+// locally by the same round-robin deal of member ordinals as the frontend,
+// answering per-shard selection jobs over the store wire protocol. A job
+// carries only exhaustive and limit: the mirror's store picks each member's
+// access method.
 //
 // Usage:
 //
 //	gqlshard -addr :7301 -shards 3 [-doc name=file.tsv ...] \
 //	    [-index-paths L] [-workers N] [-max-body BYTES] [-grace 10s]
 //
-// -shards MUST match the frontend's shard count: both sides hash-partition
-// each document identically, and a request whose partition width disagrees
-// is rejected with a topology error. Documents may be preloaded with -doc
-// (same formats as gqlserver: .tsv, .bin, .gql) or arrive at runtime via
-// /shard/sync when a frontend detects the mirror is stale — a gqlshard
-// started empty converges on first contact.
+// -shards MUST match the frontend's shard count: both sides deal each
+// document's members to shards round-robin, and a request whose partition
+// width disagrees is rejected with a topology error. Documents may be
+// preloaded with -doc (same formats as gqlserver: .tsv, .bin, .gql) or
+// arrive at runtime via /shard/sync when a frontend detects the mirror is
+// stale — a gqlshard started empty converges on first contact.
 //
 // Endpoints:
 //

@@ -103,7 +103,7 @@ type (
 	Store = map[string]graph.Collection
 	// DocStore is the versioned, sharded in-process document store: every
 	// RegisterDoc and mutation batch bumps a monotonic version, queries read
-	// immutable snapshots, and collections are hash-partitioned into shards
+	// immutable snapshots, and collections are dealt round-robin into shards
 	// with optional per-shard path indexes (see StoreOptions).
 	DocStore = store.DocStore
 	// StoreOptions configures a DocStore: shard count per document and the

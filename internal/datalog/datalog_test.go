@@ -232,3 +232,16 @@ func TestRuleString(t *testing.T) {
 		t.Errorf("String = %s, want %s", r.String(), want)
 	}
 }
+
+// TestMatchAtomCrossKind: matchAtom compares values, not representations,
+// so an Int(1) in a rule matches a fact's Float(1.0) both as a constant and
+// through an already-bound variable.
+func TestMatchAtomCrossKind(t *testing.T) {
+	fact := []graph.Value{graph.Float(1)}
+	if matchAtom(Atom{Pred: "p", Args: []Term{C(graph.Int(1))}}, fact, binding{}) == nil {
+		t.Error("constant Int(1) does not match fact Float(1.0)")
+	}
+	if matchAtom(Atom{Pred: "p", Args: []Term{V("X")}}, fact, binding{"X": graph.Int(1)}) == nil {
+		t.Error("variable bound to Int(1) does not match fact Float(1.0)")
+	}
+}

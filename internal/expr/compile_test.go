@@ -214,3 +214,22 @@ func BenchmarkCompiledPredicate(b *testing.B) {
 		}
 	})
 }
+
+// TestEqCrossKind: = compares values, not representations, so Int(1) =
+// Float(1.0) holds in both the interpreted and the compiled form, with the
+// Int on either side and from a literal or a name.
+func TestEqCrossKind(t *testing.T) {
+	env := MapEnv{"i": graph.Int(1), "f": graph.Float(1)}
+	for _, e := range []Expr{
+		bin(OpEq, lit(1), lit(1.0)),
+		bin(OpEq, name("f"), lit(1)),
+		bin(OpEq, name("i"), name("f")),
+	} {
+		if ok, err := Holds(e, env); !ok || err != nil {
+			t.Errorf("Holds(%v) = %v, %v; want true", e, ok, err)
+		}
+		if ok, err := CompilePred(e)(env); !ok || err != nil {
+			t.Errorf("CompilePred(%v) = %v, %v; want true", e, ok, err)
+		}
+	}
+}

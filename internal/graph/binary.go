@@ -25,8 +25,23 @@ const (
 	binaryVersion = 1
 )
 
+// BinaryWriter is what the encoder writes through: a *bufio.Writer, or an
+// in-memory writer such as *bytes.Buffer that needs no buffer of its own.
+type BinaryWriter interface {
+	io.Writer
+	io.ByteWriter
+	io.StringWriter
+}
+
+// BinaryReader is what the decoder reads from: a *bufio.Reader, or an
+// in-memory reader such as *bytes.Reader.
+type BinaryReader interface {
+	io.Reader
+	io.ByteReader
+}
+
 type binWriter struct {
-	w   *bufio.Writer
+	w   BinaryWriter
 	buf [binary.MaxVarintLen64]byte
 	err error
 }
@@ -92,24 +107,32 @@ func (b *binWriter) tuple(t *Tuple) {
 // WriteTuple appends one tuple (possibly nil) to w in the GQLB tuple
 // encoding. It is the embeddable form of the codec: the store's WAL frames
 // mutation attributes with it. The caller owns flushing w.
-func WriteTuple(w *bufio.Writer, t *Tuple) error {
+func WriteTuple(w BinaryWriter, t *Tuple) error {
 	bw := &binWriter{w: w}
 	bw.tuple(t)
 	return bw.err
 }
 
 // ReadTuple decodes one tuple written by WriteTuple from r. Reading
-// through the caller's bufio.Reader keeps the stream position exact, so a
-// tuple can sit between other fields of an enclosing record.
-func ReadTuple(r *bufio.Reader) (*Tuple, error) {
+// through the caller's reader keeps the stream position exact, so a tuple
+// can sit between other fields of an enclosing record.
+func ReadTuple(r BinaryReader) (*Tuple, error) {
 	br := &binReader{r: r}
 	return br.tuple()
 }
 
 // WriteBinary serializes a collection (use a one-element collection for a
-// single graph).
+// single graph). A w that is already a BinaryWriter is written directly;
+// any other w goes through a 64 KiB buffer of WriteBinary's own.
 func WriteBinary(w io.Writer, c Collection) error {
-	bw := &binWriter{w: bufio.NewWriterSize(w, 1<<16)}
+	bw := &binWriter{}
+	var buf *bufio.Writer
+	if direct, ok := w.(BinaryWriter); ok {
+		bw.w = direct
+	} else {
+		buf = bufio.NewWriterSize(w, 1<<16)
+		bw.w = buf
+	}
 	if _, err := bw.w.WriteString(binaryMagic); err != nil {
 		return err
 	}
@@ -136,14 +159,14 @@ func WriteBinary(w io.Writer, c Collection) error {
 			bw.tuple(e.Attrs)
 		}
 	}
-	if bw.err != nil {
+	if bw.err != nil || buf == nil {
 		return bw.err
 	}
-	return bw.w.Flush()
+	return buf.Flush()
 }
 
 type binReader struct {
-	r *bufio.Reader
+	r BinaryReader
 }
 
 func (b *binReader) uvarint() (uint64, error) { return binary.ReadUvarint(b.r) }
@@ -231,9 +254,16 @@ func (b *binReader) tuple() (*Tuple, error) {
 	return t, nil
 }
 
-// ReadBinary deserializes a collection written by WriteBinary.
+// ReadBinary deserializes a collection written by WriteBinary. An r that is
+// already a BinaryReader is read directly; any other r goes through a
+// 64 KiB buffer of ReadBinary's own.
 func ReadBinary(r io.Reader) (Collection, error) {
-	br := &binReader{r: bufio.NewReaderSize(r, 1<<16)}
+	br := &binReader{}
+	if direct, ok := r.(BinaryReader); ok {
+		br.r = direct
+	} else {
+		br.r = bufio.NewReaderSize(r, 1<<16)
+	}
 	magic := make([]byte, len(binaryMagic))
 	if _, err := io.ReadFull(br.r, magic); err != nil {
 		return nil, err

@@ -2,10 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -143,5 +146,119 @@ func TestBinaryRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomValue draws a value of every kind, the null and both signs
+// included.
+func randomValue(rng *rand.Rand) Value {
+	switch rng.Intn(5) {
+	case 0:
+		return Null
+	case 1:
+		return Int(rng.Int63() - rng.Int63())
+	case 2:
+		return Float(rng.NormFloat64() * 1e6)
+	case 3:
+		return String(strings.Repeat("é", rng.Intn(4)))
+	}
+	return Bool(rng.Intn(2) == 0)
+}
+
+// randomTuple draws nil or a tuple of up to four random attributes.
+func randomTuple(rng *rand.Rand) *Tuple {
+	if rng.Intn(3) == 0 {
+		return nil
+	}
+	t := NewTuple(strings.Repeat("t", rng.Intn(2)))
+	for i := rng.Intn(5); i > 0; i-- {
+		t.Set(string(rune('a'+rng.Intn(6))), randomValue(rng))
+	}
+	return t
+}
+
+// TestBinaryBufferedMatchesInMemory: the codec writes and reads an
+// in-memory buffer directly and anything else through its own buffer; the
+// two paths give byte-identical output and equal graphs. The unbuffered
+// side hides the byte methods of its writer and reads one byte per call.
+func TestBinaryBufferedMatchesInMemory(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var coll Collection
+		for gi := rng.Intn(4); gi > 0; gi-- {
+			g := New(strings.Repeat("g", 1+rng.Intn(3)))
+			g.Directed = rng.Intn(2) == 0
+			g.Attrs = randomTuple(rng)
+			n := 1 + rng.Intn(8)
+			for i := 0; i < n; i++ {
+				g.AddNode("", randomTuple(rng))
+			}
+			for i := rng.Intn(2 * n); i > 0; i-- {
+				g.AddEdge("", NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), randomTuple(rng))
+			}
+			coll = append(coll, g)
+		}
+		var direct, buffered bytes.Buffer
+		if err := WriteBinary(&direct, coll); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteBinary(struct{ io.Writer }{&buffered}, coll); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(direct.Bytes(), buffered.Bytes()) {
+			t.Fatalf("seed %d: in-memory and buffered encodings differ", seed)
+		}
+		fromMem, err := ReadBinary(bytes.NewReader(direct.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromBuf, err := ReadBinary(iotest.OneByteReader(bytes.NewReader(direct.Bytes())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fromMem) != len(coll) || len(fromBuf) != len(coll) {
+			t.Fatalf("seed %d: %d and %d graphs decoded, want %d", seed, len(fromMem), len(fromBuf), len(coll))
+		}
+		for i, g := range coll {
+			for _, got := range []*Graph{fromMem[i], fromBuf[i]} {
+				if got.Signature() != g.Signature() || got.Attrs.String() != g.Attrs.String() || got.Directed != g.Directed {
+					t.Fatalf("seed %d graph %d: decoded graph differs", seed, i)
+				}
+			}
+		}
+	}
+}
+
+// TestBinaryInMemoryAllocs: encoding a 3-node motif into a bytes.Buffer and
+// decoding it from a bytes.Reader allocates no 64 KiB bufio buffer on
+// either side.
+func TestBinaryInMemoryAllocs(t *testing.T) {
+	g := New("P")
+	a := g.AddNode("a", TupleOf("", "label", "author"))
+	b := g.AddNode("b", TupleOf("", "label", "paper", "year", 2006))
+	c := g.AddNode("c", nil)
+	g.AddEdge("e1", a, b, nil)
+	g.AddEdge("e2", c, b, nil)
+	coll := Collection{g}
+	var buf bytes.Buffer
+	run := func() {
+		buf.Reset()
+		if err := WriteBinary(&buf, coll); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, run)
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perRun >= 64<<10 {
+		t.Errorf("a 3-node encode and decode allocates %d bytes, want under 64 KiB", perRun)
+	}
+	if allocs > 80 {
+		t.Errorf("a 3-node encode and decode makes %.0f allocations, want at most 80", allocs)
 	}
 }

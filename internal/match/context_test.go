@@ -128,3 +128,32 @@ func TestCancelChecksCounted(t *testing.T) {
 		t.Fatal("cancellable context produced zero cancellation polls")
 	}
 }
+
+// TestRefineStopsOnCancel: refinement polls cancellation once per level, so
+// a context cancelled before it starts leaves Φ as retrieval built it and
+// records the context's error instead of refining to completion.
+func TestRefineStopsOnCancel(t *testing.T) {
+	g := fig416()
+	p := trianglePattern()
+	if err := p.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := &searcher{p: p, g: g, opt: Optimized(), stats: &Stats{}, ctx: ctx, ctxDone: ctx.Done()}
+	s.phi = make([][]graph.NodeID, p.Size())
+	for u := range s.phi {
+		for v := 0; v < g.NumNodes(); v++ {
+			s.phi[u] = append(s.phi[u], graph.NodeID(v))
+		}
+	}
+	s.refine()
+	if !errors.Is(s.ctxErr, context.Canceled) {
+		t.Fatalf("refine under a cancelled context recorded %v, want context.Canceled", s.ctxErr)
+	}
+	for u := range s.phi {
+		if len(s.phi[u]) != g.NumNodes() {
+			t.Fatalf("refine pruned Φ(%d) to %d of %d mates after cancellation", u, len(s.phi[u]), g.NumNodes())
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Package shardsrv is the shard-server side of the multi-process read
 // path: a small HTTP server that owns a mirror of the document store
-// (partitioned and gindex-indexed locally with the same deterministic
-// hash as the frontend) and evaluates one shard's slice of a selection
-// per request, speaking the store wire protocol (store/wire.go).
+// (partitioned locally by the same round-robin deal of member ordinals as
+// the frontend, and gindex-indexed) and evaluates one shard's slice of a
+// selection per request, speaking the store wire protocol (store/wire.go).
 //
 // Endpoints:
 //
@@ -41,8 +41,8 @@ import (
 // Config configures a shard server.
 type Config struct {
 	// Shards is the partition width of the local mirror. It must equal the
-	// frontend's shard count: both sides hash-partition the same canonical
-	// collection, and the topology check on every request rejects a
+	// frontend's shard count: both sides deal the same canonical collection
+	// round-robin, and the topology check on every request rejects a
 	// mismatch.
 	Shards int
 	// IndexMaxLen builds per-shard path-feature indexes at install when

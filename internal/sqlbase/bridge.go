@@ -14,8 +14,9 @@ import (
 // node has a constant label; an unlabelled node matches any vertex), one E
 // alias per pattern edge (joined on the endpoints' vids), and pairwise <>
 // conditions for injectivity. Only patterns whose node constraints are at
-// most a constant label and whose edges and residual predicate are empty
-// can be encoded — the §5 workloads, plus partially labelled patterns.
+// most a constant label (no tuple tag), whose edges carry no constraint and
+// whose residual predicate is empty can be encoded — the §5 workloads,
+// plus partially labelled patterns.
 func PatternToSQL(p *pattern.Pattern) (string, error) {
 	if err := p.Compile(); err != nil {
 		return "", err
@@ -33,7 +34,7 @@ func PatternToSQL(p *pattern.Pattern) (string, error) {
 		sel = append(sel, alias+".vid")
 		from = append(from, "V AS "+alias)
 		label, labelled := p.ConstLabel(n.ID)
-		if conds := len(expr.Conjuncts(p.NodePred[n.ID])); conds > 1 || conds == 1 && !labelled {
+		if conds := len(expr.Conjuncts(p.NodePred[n.ID])); conds > 1 || conds == 1 && !labelled || p.NodeTag[n.ID] != "" {
 			return "", fmt.Errorf("sqlbase: pattern node %s has a constraint other than its label; not expressible in the V/E encoding", n.Name)
 		}
 		if labelled {
@@ -41,6 +42,9 @@ func PatternToSQL(p *pattern.Pattern) (string, error) {
 		}
 	}
 	for _, e := range m.Edges() {
+		if p.EdgePred[e.ID] != nil {
+			return "", fmt.Errorf("sqlbase: pattern edge %s has an attribute constraint; not expressible in the V/E encoding", e.Name)
+		}
 		alias := fmt.Sprintf("E%d", e.ID+1)
 		from = append(from, "E AS "+alias)
 		where = append(where,

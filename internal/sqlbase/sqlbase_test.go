@@ -173,6 +173,20 @@ func TestPatternToSQLShape(t *testing.T) {
 	if _, err := PatternToSQL(p); err == nil {
 		t.Error("a non-label node constraint should not translate")
 	}
+	// Nor is a tuple tag on a node, or an attribute constraint on an edge:
+	// a bare endpoint join would answer matches the pattern excludes.
+	p = pattern.New("P")
+	p.AddNode("x", graph.TupleOf("author", "label", "A"), nil)
+	if _, err := PatternToSQL(p); err == nil {
+		t.Error("a tagged node should not translate")
+	}
+	p = pattern.New("P")
+	x := p.AddNode("x", graph.TupleOf("", "label", "A"), nil)
+	y := p.AddNode("y", graph.TupleOf("", "label", "B"), nil)
+	p.AddEdge("e", x, y, graph.TupleOf("", "w", graph.Int(1)), nil)
+	if _, err := PatternToSQL(p); err == nil {
+		t.Error("an edge attribute constraint should not translate")
+	}
 }
 
 // TestAgainstNativeMatcher: the SQL path and the native matcher agree on
@@ -345,5 +359,28 @@ func TestPlannerSelectivity(t *testing.T) {
 	}
 	if len(rows) != 1 {
 		t.Errorf("rows = %d, want 1", len(rows))
+	}
+}
+
+// TestExecEqCrossKind: the executor's = compares values, not
+// representations, so an Int column value equals a Float literal and a
+// Float column value equals an Int literal.
+func TestExecEqCrossKind(t *testing.T) {
+	db := NewDB()
+	v := NewTable("T", "x")
+	db.Create(v)
+	mustInsert(t, v, graph.Int(1))
+	mustInsert(t, v, graph.Float(2))
+	for q, want := range map[string]graph.Value{
+		`SELECT A.x FROM T AS A WHERE A.x = 1.0;`: graph.Int(1),
+		`SELECT A.x FROM T AS A WHERE A.x = 2;`:   graph.Float(2),
+	} {
+		rows, err := db.ExecSQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || rows[0][0].String() != want.String() || rows[0][0].Kind() != want.Kind() {
+			t.Errorf("%s = %v, want [[%v]]", q, rows, want)
+		}
 	}
 }

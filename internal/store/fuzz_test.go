@@ -2,22 +2,25 @@ package store_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
 
 	"gqldb/internal/ast"
+	"gqldb/internal/graph"
 	"gqldb/internal/match"
 	"gqldb/internal/parser"
+	"gqldb/internal/pattern"
 	"gqldb/internal/store"
 )
 
 // FuzzShardWire asserts the shard wire protocol's total-function contract
-// over arbitrary bytes, fed to both decoders (a request line and a
-// response frame): parse or return a typed *WireError / *ShardRemoteError,
-// never panic, and everything accepted must round-trip — re-encode and
-// re-decode to the same wire form.
+// over arbitrary bytes, fed to every decoder (a request line, a response
+// frame, and a whole response stream decoded against a fixed 2-node
+// request): parse or return a typed *WireError / *ShardRemoteError, never
+// panic, and everything accepted must round-trip — an accepted pattern
+// re-encodes to one that compiles to the same shape, and an accepted
+// response binds only mappings the frontend can use.
 func FuzzShardWire(f *testing.F) {
 	// Valid seeds: a full request and each response frame shape.
 	p := abPattern(f)
@@ -27,11 +30,14 @@ func FuzzShardWire(f *testing.F) {
 		Pattern: store.EncodePattern(p),
 		Options: store.EncodeOptions(match.Optimized()),
 	}
-	var buf bytes.Buffer
-	if err := store.EncodeRequest(&buf, req); err != nil {
-		f.Fatal(err)
+	addReq := func() {
+		var buf bytes.Buffer
+		if err := store.EncodeRequest(&buf, req); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	f.Add(buf.Bytes())
+	addReq()
 	// A pattern whose where clause reads graph attributes (bare and
 	// P-qualified): the mirror recompiles the same graph gate from the
 	// predicate's source text.
@@ -44,20 +50,50 @@ func FuzzShardWire(f *testing.F) {
 		f.Fatal(err)
 	}
 	req.Pattern = store.EncodePattern(gp)
-	buf.Reset()
-	if err := store.EncodeRequest(&buf, req); err != nil {
+	addReq()
+	// A directed motif whose tuples carry every value kind, on a node and
+	// on an edge; then its motif truncated, and a motif of two graphs.
+	kinds := graph.TupleOf("t", "i", int64(-7), "f", 2.5, "s", "x y", "b", true, "n", graph.Null)
+	kp := pattern.NewDirected("K")
+	a := kp.AddNode("a", kinds, nil)
+	b := kp.AddNode("b", nil, nil)
+	kp.AddEdge("e", a, b, graph.TupleOf("", "w", 1.0), nil)
+	good := store.EncodePattern(kp)
+	req.Pattern = good
+	addReq()
+	req.Pattern = store.WirePattern{Motif: good.Motif[:len(good.Motif)/2]}
+	addReq()
+	var two bytes.Buffer
+	if err := graph.WriteBinary(&two, graph.Collection{kp.Motif, kp.Motif}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	req.Pattern = store.WirePattern{Motif: two.Bytes()}
+	addReq()
 	f.Add([]byte(`{"t":"group","ord":2,"matches":[{"n":[0,3],"e":[1]}]}`))
 	f.Add([]byte(`{"t":"done","candidates":12,"version":4}`))
 	f.Add([]byte(`{"t":"error","code":"stale","message":"m","version":9,"hash":"aa"}`))
+	// A whole answer for the fixed request, and one whose mapping binds one
+	// node of the 2-node pattern.
+	f.Add([]byte(`{"t":"group","ord":0,"matches":[{"n":[0,1],"e":[0]}]}` + "\n" + `{"t":"done"}`))
+	f.Add([]byte(`{"t":"group","ord":0,"matches":[{"n":[0]}]}` + "\n" + `{"t":"done"}`))
 	// Malformed seeds steering the fuzzer at the validation branches.
 	f.Add([]byte(`{"doc":"db","shard":5,"shards":3}`))
 	f.Add([]byte(`{"t":"group","ord":-1}`))
 	f.Add([]byte(`{"t":"group","matches":[{"n":[-9]}]}`))
 	f.Add([]byte(`{"t":"wat"}`))
 	f.Add([]byte(`{`))
+
+	// The fixed request response streams are decoded against: abPattern
+	// over one shard of two-node, one-edge graphs.
+	g := graph.New("g")
+	g.AddEdge("", g.AddNode("", nil), g.AddNode("", nil), nil)
+	s := store.New(store.Options{Shards: 1})
+	s.RegisterDoc("db", graph.Collection{g, g.Clone()})
+	d, _ := s.Snapshot().Doc("db")
+	if err := p.Compile(); err != nil {
+		f.Fatal(err)
+	}
+	sreq := store.ShardRequest{Shard: d.Shards()[0], P: p, Opt: match.Optimized(), Workers: 1, Doc: d}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -85,21 +121,19 @@ func FuzzShardWire(f *testing.F) {
 				r2.Version != r.Version || r2.Hash != r.Hash || r2.Workers != r.Workers {
 				t.Fatalf("request header changed over round-trip: %+v vs %+v", r2, r)
 			}
-			a, _ := json.Marshal(r.Pattern)
-			b, _ := json.Marshal(r2.Pattern)
-			if !bytes.Equal(a, b) {
+			if !bytes.Equal(r2.Pattern.Motif, r.Pattern.Motif) || r2.Pattern.Where != r.Pattern.Where {
 				t.Fatalf("pattern wire form changed over round-trip")
 			}
 			// A decodable pattern must compile without panicking; a failure
-			// must be typed. One that compiles compiles to the same planning
-			// shape after the round-trip (the shape carries the residual
-			// predicate the graph gate is derived from).
+			// must be typed. One that compiles re-encodes to a pattern that
+			// compiles to the same planning shape (the shape carries the
+			// residual predicate the graph gate is derived from).
 			if p1, perr := r.Pattern.Pattern(); perr != nil {
 				var we *store.WireError
 				if !errors.As(perr, &we) {
 					t.Fatalf("Pattern error is %T, want *WireError: %v", perr, perr)
 				}
-			} else if p2, perr := r2.Pattern.Pattern(); perr != nil {
+			} else if p2, perr := store.EncodePattern(p1).Pattern(); perr != nil {
 				t.Fatalf("round-tripped pattern no longer compiles: %v", perr)
 			} else if p2.Shape() != p1.Shape() {
 				t.Fatalf("round-tripped pattern compiles to shape %q, want %q", p2.Shape(), p1.Shape())
@@ -108,6 +142,21 @@ func FuzzShardWire(f *testing.F) {
 				var we *store.WireError
 				if !errors.As(oerr, &we) {
 					t.Fatalf("Options error is %T, want *WireError: %v", oerr, oerr)
+				}
+			}
+		}
+		// Stream decode against the fixed request: failures are typed, and
+		// every accepted binding has the pattern's arity and renders.
+		if res, err := store.DecodeResult(bytes.NewReader(data), sreq); err != nil {
+			var we *store.WireError
+			var re *store.ShardRemoteError
+			if !errors.As(err, &we) && !errors.As(err, &re) {
+				t.Fatalf("DecodeResult error is %T, want *WireError or *ShardRemoteError: %v", err, err)
+			}
+		} else {
+			for _, group := range res.Groups {
+				for _, m := range group {
+					m.InducedGraph()
 				}
 			}
 		}

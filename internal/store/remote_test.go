@@ -418,3 +418,36 @@ func TestRemoteSelectorMutationResync(t *testing.T) {
 }
 
 var _ = fmt.Sprint // keep fmt imported for debugging edits
+
+// TestRemoteSelectorCancelStopsRetries: the retry loop checks the caller's
+// context before every attempt, so a query cancelled while its first
+// attempt fails makes no further attempt and returns context.Canceled, not
+// a *ShardError after the whole retry budget.
+func TestRemoteSelectorCancelStopsRetries(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var hits atomic.Int32
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		cancel()
+		http.Error(w, "down", http.StatusInternalServerError)
+	}))
+	defer hs.Close()
+	s := store.New(store.Options{Shards: 1})
+	s.RegisterDoc("db", randomCollection(6, 5))
+	d, _ := s.Snapshot().Doc("db")
+	p := abPattern(t)
+	if err := p.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	rs := store.NewRemoteSelector([]string{hs.URL})
+	rs.SetRetries(5)
+	rpcs := obs.ShardRPCs.Value()
+	_, err := rs.SelectShard(ctx, store.ShardRequest{Shard: d.Shards()[0], P: p, Opt: match.Optimized(), Workers: 1, Doc: d})
+	if err != context.Canceled {
+		t.Fatalf("cancelled selection returned %v, want context.Canceled", err)
+	}
+	if n, calls := hits.Load(), obs.ShardRPCs.Value()-rpcs; n != 1 || calls != 1 {
+		t.Fatalf("%d /shard/select hits and %d attempts after cancellation, want 1 and 1", n, calls)
+	}
+}

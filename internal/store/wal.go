@@ -29,7 +29,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -263,25 +262,24 @@ func (w *WAL) Close() error { return w.f.Close() }
 
 func encodeWALPayload(seq uint64, muts []Mutation) ([]byte, error) {
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
 	var tmp [binary.MaxVarintLen64]byte
 	uv := func(v uint64) {
 		n := binary.PutUvarint(tmp[:], v)
-		bw.Write(tmp[:n])
+		buf.Write(tmp[:n])
 	}
 	str := func(s string) {
 		uv(uint64(len(s)))
-		bw.WriteString(s)
+		buf.WriteString(s)
 	}
 	uv(seq)
 	uv(uint64(len(muts)))
 	for i := range muts {
 		m := &muts[i]
-		bw.WriteByte(byte(m.Op))
+		buf.WriteByte(byte(m.Op))
 		for _, s := range [...]string{m.Doc, m.Graph, m.Name, m.From, m.To} {
 			str(s)
 		}
-		if err := graph.WriteTuple(bw, m.Attrs); err != nil {
+		if err := graph.WriteTuple(&buf, m.Attrs); err != nil {
 			return nil, err
 		}
 		body, present := graph.Collection{m.Body}, m.Body != nil
@@ -289,25 +287,22 @@ func encodeWALPayload(seq uint64, muts []Mutation) ([]byte, error) {
 			body, present = m.Coll, true
 		}
 		if !present {
-			bw.WriteByte(0)
+			buf.WriteByte(0)
 		} else {
-			bw.WriteByte(1)
+			buf.WriteByte(1)
 			var gb bytes.Buffer
 			if err := graph.WriteBinary(&gb, body); err != nil {
 				return nil, err
 			}
 			uv(uint64(gb.Len()))
-			bw.Write(gb.Bytes())
+			buf.Write(gb.Bytes())
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 func decodeWALPayload(payload []byte) (WALRecord, error) {
-	br := bufio.NewReader(bytes.NewReader(payload))
+	br := bytes.NewReader(payload)
 	var rec WALRecord
 	seq, err := binary.ReadUvarint(br)
 	if err != nil {

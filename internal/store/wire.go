@@ -1,25 +1,32 @@
 // The multi-process wire protocol over the ShardSelector seam.
 //
-// A selection request travels as one JSON object carrying the pattern by
-// source parts (motif structure plus the predicate as expression source
-// text — the paper's graphs-at-a-time framing keeps the unit of work a
-// whole-graph selection, so one small request describes an entire shard's
-// job), the shard assignment (document name, shard ordinal, partition
-// width), the serializable matching options, and the version handshake
-// (the frontend's store version plus the document's content hash). The
-// response is NDJSON: one "group" frame per shard-local member graph with
-// matches, in ascending local ordinal, then a terminal "done" or "error"
-// frame. Mappings travel as node/edge ID arrays; the frontend re-binds
-// them to its own graph pointers, so merged results are byte-identical to
-// the in-process coordinator.
+// A selection request travels as one JSON object carrying the pattern as
+// the paper's pair of motif and predicate — the motif as a one-graph GQLB
+// collection, the same codec the WAL, the checkpoint and /shard/sync use,
+// and the predicate as its WHERE source text — plus the shard assignment
+// (document name, shard ordinal, partition width), the serializable
+// matching options, and the version handshake (the frontend's store
+// version plus the document's content hash). The paper's graphs-at-a-time
+// framing keeps the unit of work a whole-graph selection, so one small
+// request describes an entire shard's job. The response is NDJSON: one
+// "group" frame per shard-local member graph with matches, in ascending
+// local ordinal, then a terminal "done" or "error" frame. Mappings travel
+// as node/edge ID arrays; the frontend re-binds them to its own graph
+// pointers, so merged results are byte-identical to the in-process
+// coordinator.
+//
+// Frontends and mirrors come from one build: the request carries no
+// protocol version, and the mirror recompiles the pattern with the same
+// Compile the frontend ran.
 //
 // Decoding never trusts the peer: every decoder returns a typed *WireError
 // for malformed input (never panics), counts are bounded, and references
-// (node names, ordinals, IDs) are validated before use.
+// (node names, ordinals, IDs, mapping arity) are validated before use.
 package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,7 +42,7 @@ import (
 // Wire protocol hard bounds: a frame that exceeds them is malformed, not
 // merely large — the decoder rejects it before allocating proportionally.
 const (
-	// maxWireElems bounds pattern nodes/edges and attributes per tuple.
+	// maxWireElems bounds the partition width and the length of a mapping.
 	maxWireElems = 1 << 16
 	// maxWireMatches bounds mappings per member graph in one group frame.
 	maxWireMatches = 1 << 24
@@ -65,178 +72,45 @@ func wireErrf(format string, args ...any) *WireError {
 	return &WireError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// WireValue is one attribute value in its typed JSON form. Exactly the
-// field named by Kind is meaningful; the others stay at their zero values.
-type WireValue struct {
-	// Kind is "null", "int", "float", "string" or "bool".
-	Kind string  `json:"k"`
-	Int  int64   `json:"i,omitempty"`
-	Flt  float64 `json:"f,omitempty"`
-	Str  string  `json:"s,omitempty"`
-	Bool bool    `json:"b,omitempty"`
-}
-
-// wireValue encodes a graph value.
-func wireValue(v graph.Value) WireValue {
-	switch v.Kind() {
-	case graph.KindInt:
-		return WireValue{Kind: "int", Int: v.AsInt()}
-	case graph.KindFloat:
-		return WireValue{Kind: "float", Flt: v.AsFloat()}
-	case graph.KindString:
-		return WireValue{Kind: "string", Str: v.AsString()}
-	case graph.KindBool:
-		return WireValue{Kind: "bool", Bool: v.AsBool()}
-	}
-	return WireValue{Kind: "null"}
-}
-
-// Value decodes the wire form back into a graph value.
-func (w WireValue) Value() (graph.Value, error) {
-	switch w.Kind {
-	case "null":
-		return graph.Null, nil
-	case "int":
-		return graph.Int(w.Int), nil
-	case "float":
-		return graph.Float(w.Flt), nil
-	case "string":
-		return graph.String(w.Str), nil
-	case "bool":
-		return graph.Bool(w.Bool), nil
-	}
-	return graph.Null, wireErrf("unknown value kind %q", w.Kind)
-}
-
-// WireAttr is one name/value pair of a tuple.
-type WireAttr struct {
-	Name string    `json:"n"`
-	Val  WireValue `json:"v"`
-}
-
-// WireTuple is an attribute tuple: the tag plus the attributes in
-// declaration order (order matters — the receiving Compile derives
-// equality conjuncts by iterating it).
-type WireTuple struct {
-	Tag   string     `json:"tag,omitempty"`
-	Attrs []WireAttr `json:"attrs,omitempty"`
-}
-
-// wireTuple encodes a tuple (nil stays nil).
-func wireTuple(t *graph.Tuple) *WireTuple {
-	if t == nil {
-		return nil
-	}
-	out := &WireTuple{Tag: t.Tag}
-	for i := 0; i < t.Len(); i++ {
-		a := t.At(i)
-		out.Attrs = append(out.Attrs, WireAttr{Name: a.Name, Val: wireValue(a.Val)})
-	}
-	return out
-}
-
-// tuple decodes back into a graph tuple (nil stays nil).
-func (w *WireTuple) tuple() (*graph.Tuple, error) {
-	if w == nil {
-		return nil, nil
-	}
-	if len(w.Attrs) > maxWireElems {
-		return nil, wireErrf("tuple has %d attributes (max %d)", len(w.Attrs), maxWireElems)
-	}
-	t := graph.NewTuple(w.Tag)
-	for _, a := range w.Attrs {
-		v, err := a.Val.Value()
-		if err != nil {
-			return nil, err
-		}
-		t.Set(a.Name, v)
-	}
-	return t, nil
-}
-
-// WireNode is one motif node of a pattern.
-type WireNode struct {
-	Name  string     `json:"name"`
-	Tuple *WireTuple `json:"tuple,omitempty"`
-}
-
-// WireEdge is one motif edge, endpoints by node name.
-type WireEdge struct {
-	Name  string     `json:"name"`
-	From  string     `json:"from"`
-	To    string     `json:"to"`
-	Tuple *WireTuple `json:"tuple,omitempty"`
-}
-
-// WirePattern carries a pattern by its construction parts: the motif
-// (nodes and edges with their constraint tuples) plus the predicate as
-// expression source text (Pattern.WhereSource). Decoding replays the
-// construction and compiles, yielding a pattern whose compiled form —
-// pushed-down conjunct order included — matches the original, so shard-
-// side search enumerates matches in exactly the frontend's order.
+// WirePattern carries a pattern as the paper's pair of motif and
+// predicate: the motif as a one-graph GQLB collection (graph.WriteBinary),
+// the predicate as expression source text (Pattern.WhereSource). Decoding
+// replays the construction and compiles, yielding a pattern whose compiled
+// form — pushed-down conjunct order included — matches the original, so
+// shard-side search enumerates matches in exactly the frontend's order.
 type WirePattern struct {
-	Name     string     `json:"name"`
-	Directed bool       `json:"directed,omitempty"`
-	Nodes    []WireNode `json:"nodes"`
-	Edges    []WireEdge `json:"edges,omitempty"`
-	Where    string     `json:"where,omitempty"`
+	Motif []byte `json:"motif"`
+	Where string `json:"where,omitempty"`
 }
 
 // EncodePattern lowers a pattern to its wire form.
 func EncodePattern(p *pattern.Pattern) WirePattern {
-	out := WirePattern{
-		Name:     p.Name,
-		Directed: p.Motif.Directed,
-		Where:    p.WhereSource(),
-	}
-	for _, n := range p.Motif.Nodes() {
-		out.Nodes = append(out.Nodes, WireNode{Name: n.Name, Tuple: wireTuple(n.Attrs)})
-	}
-	for _, e := range p.Motif.Edges() {
-		out.Edges = append(out.Edges, WireEdge{
-			Name:  e.Name,
-			From:  p.Motif.Node(e.From).Name,
-			To:    p.Motif.Node(e.To).Name,
-			Tuple: wireTuple(e.Attrs),
-		})
-	}
-	return out
+	var motif bytes.Buffer
+	// Writing to memory never fails.
+	_ = graph.WriteBinary(&motif, graph.Collection{p.Motif})
+	return WirePattern{Motif: motif.Bytes(), Where: p.WhereSource()}
 }
 
-// Pattern rebuilds and compiles the pattern. Malformed wire forms (dangling
-// edge endpoints, bad values, unparseable predicates) return a *WireError.
+// Pattern rebuilds and compiles the pattern. A motif that does not decode
+// to exactly one graph (GQLB's bounds and the graph Builder's name and
+// endpoint checks apply), an unparseable predicate or a pattern that does
+// not compile returns a *WireError.
 func (w WirePattern) Pattern() (*pattern.Pattern, error) {
-	if len(w.Nodes) > maxWireElems || len(w.Edges) > maxWireElems {
-		return nil, wireErrf("pattern has %d nodes / %d edges (max %d)", len(w.Nodes), len(w.Edges), maxWireElems)
+	coll, err := graph.ReadBinary(bytes.NewReader(w.Motif))
+	if err != nil {
+		return nil, &WireError{Reason: "pattern motif does not decode", Err: err}
 	}
-	var p *pattern.Pattern
-	if w.Directed {
-		p = pattern.NewDirected(w.Name)
-	} else {
-		p = pattern.New(w.Name)
+	if len(coll) != 1 {
+		return nil, wireErrf("pattern motif holds %d graphs, want 1", len(coll))
 	}
-	ids := make(map[string]graph.NodeID, len(w.Nodes))
-	for _, n := range w.Nodes {
-		if _, dup := ids[n.Name]; dup {
-			return nil, wireErrf("pattern declares node %q twice", n.Name)
-		}
-		t, err := n.Tuple.tuple()
-		if err != nil {
-			return nil, err
-		}
-		ids[n.Name] = p.AddNode(n.Name, t, nil)
+	m := coll[0]
+	p := pattern.New(m.Name)
+	p.Motif.Directed = m.Directed
+	for _, n := range m.Nodes() {
+		p.AddNode(n.Name, n.Attrs, nil)
 	}
-	for _, e := range w.Edges {
-		from, okF := ids[e.From]
-		to, okT := ids[e.To]
-		if !okF || !okT {
-			return nil, wireErrf("pattern edge %q references undeclared node", e.Name)
-		}
-		t, err := e.Tuple.tuple()
-		if err != nil {
-			return nil, err
-		}
-		p.AddEdge(e.Name, from, to, t, nil)
+	for _, e := range m.Edges() {
+		p.AddEdge(e.Name, e.From, e.To, e.Attrs, nil)
 	}
 	if w.Where != "" {
 		e, err := parser.ParseExpr(w.Where)
@@ -461,6 +335,10 @@ func DecodeResult(r io.Reader, req ShardRequest) (ShardResult, error) {
 			g := sh.Coll[f.Ord]
 			group := make(algebra.Matched, 0, len(f.Matches))
 			for _, m := range f.Matches {
+				if len(m.Nodes) != req.P.Motif.NumNodes() || len(m.Edges) != req.P.Motif.NumEdges() {
+					return res, wireErrf("mapping of %d nodes / %d edges for a pattern of %d / %d",
+						len(m.Nodes), len(m.Edges), req.P.Motif.NumNodes(), req.P.Motif.NumEdges())
+				}
 				for _, id := range m.Nodes {
 					if int(id) >= g.NumNodes() {
 						return res, wireErrf("mapping node id %d outside graph of %d nodes", id, g.NumNodes())

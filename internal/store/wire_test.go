@@ -196,24 +196,65 @@ func TestWireDecodeRejects(t *testing.T) {
 			t.Fatalf("DecodeFrame(%q): got %v, want *WireError", src, err)
 		}
 	}
-	// A malformed pattern: an edge referencing an undeclared node.
-	wp := store.WirePattern{
-		Name:  "P",
-		Nodes: []store.WireNode{{Name: "a"}},
-		Edges: []store.WireEdge{{Name: "e", From: "a", To: "ghost"}},
+	// Malformed motifs: not GQLB, truncated, zero or two graphs, a
+	// dangling edge endpoint, a duplicate node name; then an unparseable
+	// predicate over a good motif.
+	good := store.EncodePattern(abPattern(t)).Motif
+	two := graph.New("P")
+	two.AddNode("a", nil)
+	motif := func(c graph.Collection) []byte {
+		var buf bytes.Buffer
+		if err := graph.WriteBinary(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if _, err := wp.Pattern(); err == nil {
-		t.Fatal("dangling edge endpoint accepted")
+	// "GQLB" v1, one graph "P", undirected, no attributes, then nodes and
+	// edges as hand-written records.
+	head := []byte("GQLB\x01\x01\x01P\x00\x00")
+	bad := map[string]store.WirePattern{
+		"not GQLB":   {Motif: []byte("nope")},
+		"truncated":  {Motif: good[:len(good)-3]},
+		"no graph":   {Motif: motif(graph.Collection{})},
+		"two graphs": {Motif: motif(graph.Collection{two, two})},
+		"dangling edge": {Motif: append(append([]byte{}, head...),
+			1, 1, 'a', 0, // node "a"
+			1, 1, 'e', 0, 5, 0)}, // edge "e" from 0 to 5
+		"duplicate node": {Motif: append(append([]byte{}, head...),
+			2, 1, 'a', 0, 1, 'a', 0, 0)},
+		"bad predicate": {Motif: good, Where: "((("},
 	}
-	// An unparseable predicate.
-	wp = store.WirePattern{Name: "P", Nodes: []store.WireNode{{Name: "a"}}, Where: "((("}
-	var we *store.WireError
-	if _, err := wp.Pattern(); !errors.As(err, &we) {
-		t.Fatal("unparseable predicate not a *WireError")
+	for name, wp := range bad {
+		var we *store.WireError
+		if _, err := wp.Pattern(); !errors.As(err, &we) {
+			t.Errorf("%s: got %v, want *WireError", name, err)
+		}
 	}
 }
 
-// TestWireValueKinds: every value kind survives the typed encoding.
+// TestWireResultRejectsArity: a group frame whose mapping binds fewer (or
+// more) pattern elements than the request's pattern has is refused, typed,
+// before any binding reaches the frontend.
+func TestWireResultRejectsArity(t *testing.T) {
+	s := store.New(store.Options{Shards: 1})
+	s.RegisterDoc("db", randomCollection(4, 3))
+	d, _ := s.Snapshot().Doc("db")
+	p := abPattern(t)
+	if err := p.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	req := store.ShardRequest{Shard: d.Shards()[0], P: p, Opt: match.Optimized(), Workers: 1, Doc: d, Index: 0}
+	for _, m := range []string{`{"n":[0]}`, `{"n":[0,1]}`, `{"n":[0,1,2],"e":[0]}`, `{"n":[0,1],"e":[0,1]}`} {
+		frames := `{"t":"group","ord":0,"matches":[` + m + `]}` + "\n" + `{"t":"done"}` + "\n"
+		var we *store.WireError
+		if _, err := store.DecodeResult(strings.NewReader(frames), req); !errors.As(err, &we) {
+			t.Errorf("mapping %s for a 2-node, 1-edge pattern: got %v, want *WireError", m, err)
+		}
+	}
+}
+
+// TestWireValueKinds: every value kind in a motif tuple survives the GQLB
+// motif encoding and the JSON request around it.
 func TestWireValueKinds(t *testing.T) {
 	tup := graph.NewTuple("tag")
 	tup.Set("i", graph.Int(-7))
@@ -242,7 +283,7 @@ func TestWireValueKinds(t *testing.T) {
 	}
 	for i := 0; i < tup.Len(); i++ {
 		a, g := tup.At(i), got.At(i)
-		if a.Name != g.Name || a.Val.Kind() != g.Val.Kind() {
+		if a.Name != g.Name || a.Val.Kind() != g.Val.Kind() || a.Val.String() != g.Val.String() {
 			t.Fatalf("attr %d changed: %v vs %v", i, a, g)
 		}
 	}
